@@ -12,6 +12,8 @@
 //!   (Theorem 2),
 //! * [`split`] — the seed-grow splitting rule, shared with the BC-Tree crate,
 //! * [`bound::node_ball_bound`] — the lower bound itself, exposed for reuse and testing,
+//! * [`traverse`] — the one explicit-stack traversal loop that this crate and the
+//!   BC-Tree crate both search with, for a single query or a group sharing the descent,
 //! * exact and approximate (candidate-budget-limited) top-k queries with either the
 //!   center or the lower-bound branch preference.
 
@@ -25,6 +27,7 @@ mod node;
 pub mod parallel;
 mod search;
 pub mod split;
+pub mod traverse;
 
 pub use build::{BallTree, BallTreeBuilder, DEFAULT_LEAF_SIZE};
 pub use node::{validate_permutation, validate_structure, Node, NO_CHILD};

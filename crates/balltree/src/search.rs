@@ -1,154 +1,72 @@
 //! Branch-and-bound search over the Ball-Tree (Algorithm 3 of the paper).
 //!
-//! The traversal is iterative (an explicit stack living in the caller's
-//! [`QueryScratch`]) and leaf verification is *blocked*: each leaf's contiguous rows are
-//! fed to [`kernels::abs_dot_block`] in strips, turning candidate verification into a
-//! small matvec instead of `leaf_size` independent inner-product calls. The visit
-//! order, pruning decisions, and statistics are identical to the recursive formulation;
-//! the distances are bit-identical to [`p2h_core::LinearScan`]'s because every index
-//! shares the dispatched kernels (see `p2h_core::kernels`).
+//! The traversal itself is the shared loop in [`crate::traverse`]; this module supplies
+//! the Ball-Tree's two rules. Child centers cost two O(d) inner products per expanded
+//! node (the cost model of Theorem 5), taken from one two-row blocked matvec because
+//! sibling centers are stored adjacently. Leaves are scanned exhaustively (the
+//! `ExhaustiveScan` routine): every row of every strip goes to
+//! [`kernels::abs_dot_block`], so the distances are bit-identical to
+//! [`p2h_core::LinearScan`]'s, which shares the dispatched kernels.
 
-use std::time::Instant;
+use std::ops::Range;
 
 use p2h_core::{
-    kernels, BranchPreference, HyperplaneQuery, P2hIndex, QueryScratch, Scalar, SearchParams,
-    SearchResult, SearchStats, LEAF_STRIP,
+    kernels, HyperplaneQuery, P2hIndex, QueryScratch, Scalar, SearchParams, SearchResult,
+    SearchStats, LEAF_STRIP,
 };
 
-use crate::bound::node_ball_bound;
 use crate::build::BallTree;
 use crate::node::Node;
+use crate::traverse::{search_group, search_one, Selection, TraversalRules, TreeArrays};
+
+/// Paired child dots, plain leaf scan.
+struct BallTreeRules;
+
+impl TraversalRules for BallTreeRules {
+    type LeafState = ();
+
+    #[inline]
+    fn child_ips(
+        &self,
+        tree: &TreeArrays<'_>,
+        q: &[Scalar],
+        [_, left, right]: [&Node; 3],
+        _ip: Scalar,
+    ) -> (Scalar, Scalar, u64) {
+        debug_assert_eq!(right.center_offset, left.center_offset + 1);
+        let pair_start = left.center_offset as usize * tree.dim;
+        let mut pair = [0.0; 2];
+        let rows = &tree.centers[pair_start..pair_start + 2 * tree.dim];
+        kernels::dot_block(q, rows, tree.dim, &mut pair);
+        (pair[0], pair[1], 2)
+    }
+
+    #[inline]
+    fn enter_leaf(&self, _node_id: u32, _ip: Scalar, _query_norm: Scalar) {}
+
+    #[inline]
+    fn select(
+        &self,
+        _state: &(),
+        rows: Range<usize>,
+        _leaf_end: usize,
+        _lambda: Scalar,
+        _keep: &mut [u32; LEAF_STRIP],
+        _stats: &mut SearchStats,
+    ) -> Selection {
+        Selection { kept: rows.len(), contiguous: true, leaf_done: false }
+    }
+}
 
 impl BallTree {
-    /// Runs one query against the tree and returns the result with statistics.
-    fn run_search(
-        &self,
-        query: &HyperplaneQuery,
-        params: &SearchParams,
-        scratch: &mut QueryScratch,
-    ) -> SearchResult {
-        assert_eq!(
-            query.dim(),
-            self.points.dim(),
-            "query dimension must match the augmented data dimension"
-        );
-        let start = Instant::now();
-        scratch.reset(params.k);
-        let QueryScratch { collector, stack, strip, .. } = scratch;
-
-        let q = query.coeffs();
-        let query_norm = query.norm();
-        let dim = self.points.dim();
-        let preference = params.branch_preference;
-        let candidate_limit = params.candidate_limit.map_or(u64::MAX, |c| c as u64);
-        let timing = params.collect_timing;
-        let mut stats = SearchStats::default();
-
-        // Resolve the buffer-backed arrays once per query: a mapped `VecBuf` pays a
-        // dynamic-dispatch slice resolution per deref, which must stay out of the
-        // per-node and per-candidate loops below.
-        let points_flat = self.points.as_flat();
-        let original_ids: &[u32] = &self.original_ids;
-        let centers: &[Scalar] = &self.centers;
-        let center_of = |node: &Node| {
-            let start = node.center_offset as usize * dim;
-            &centers[start..start + dim]
-        };
-
-        let timer = timing.then(Instant::now);
-        let ip_root = kernels::dot(q, center_of(&self.nodes[0]));
-        stats.inner_products += 1;
-        if let Some(t) = timer {
-            stats.time_bounds_ns += t.elapsed().as_nanos() as u64;
+    fn arrays(&self) -> TreeArrays<'_> {
+        TreeArrays {
+            nodes: &self.nodes,
+            centers: &self.centers,
+            points: self.points.as_flat(),
+            original_ids: &self.original_ids,
+            dim: self.points.dim(),
         }
-        stack.push((0, ip_root));
-
-        // Depth-first branch-and-bound: popping the preferred child first reproduces the
-        // recursive visit order exactly, and the node-level bound is evaluated with the
-        // threshold current at pop time — the same moment the recursion would check it.
-        'traversal: while let Some((node_id, ip)) = stack.pop() {
-            let node = &self.nodes[node_id as usize];
-            stats.nodes_visited += 1;
-
-            let lb = node_ball_bound(ip.abs(), query_norm, node.radius);
-            if lb >= collector.threshold() {
-                stats.pruned_subtrees += 1;
-                continue;
-            }
-
-            if node.is_leaf() {
-                stats.leaves_visited += 1;
-                // Blocked exhaustive scan (the `ExhaustiveScan` routine of Algorithm 3):
-                // one abs_dot_block call per strip of contiguous leaf rows.
-                let timer = timing.then(Instant::now);
-                let mut pos = node.start as usize;
-                let end = node.end as usize;
-                while pos < end {
-                    let budget = candidate_limit - stats.candidates_verified;
-                    if budget == 0 {
-                        if let Some(t) = timer {
-                            stats.time_verify_ns += t.elapsed().as_nanos() as u64;
-                        }
-                        break 'traversal;
-                    }
-                    let block = (end - pos).min(LEAF_STRIP).min(budget as usize);
-                    kernels::abs_dot_block(
-                        q,
-                        &points_flat[pos * dim..(pos + block) * dim],
-                        dim,
-                        &mut strip[..block],
-                    );
-                    stats.inner_products += block as u64;
-                    stats.candidates_verified += block as u64;
-                    for (i, &dist) in strip[..block].iter().enumerate() {
-                        collector.offer(original_ids[pos + i] as usize, dist);
-                    }
-                    pos += block;
-                }
-                if let Some(t) = timer {
-                    stats.time_verify_ns += t.elapsed().as_nanos() as u64;
-                }
-                continue;
-            }
-
-            // Compute the child center inner products once here; they ride on the stack
-            // to the child visits, so Ball-Tree performs exactly two O(d) inner products
-            // per expanded internal node (the cost model of Theorem 5). Sibling centers
-            // are stored adjacently (left row immediately followed by right), so both
-            // products come from one two-row blocked matvec that loads the query once;
-            // per-row results are bit-identical to two separate `dot` calls.
-            let timer = timing.then(Instant::now);
-            let left = &self.nodes[node.left as usize];
-            let right = &self.nodes[node.right as usize];
-            debug_assert_eq!(right.center_offset, left.center_offset + 1);
-            let pair_start = left.center_offset as usize * dim;
-            let mut pair = [0.0; 2];
-            kernels::dot_block(q, &centers[pair_start..pair_start + 2 * dim], dim, &mut pair);
-            let (ip_left, ip_right) = (pair[0], pair[1]);
-            stats.inner_products += 2;
-            if let Some(t) = timer {
-                stats.time_bounds_ns += t.elapsed().as_nanos() as u64;
-            }
-
-            let left_first = match preference {
-                BranchPreference::Center => ip_left.abs() < ip_right.abs(),
-                BranchPreference::LowerBound => {
-                    node_ball_bound(ip_left.abs(), query_norm, left.radius)
-                        < node_ball_bound(ip_right.abs(), query_norm, right.radius)
-                }
-            };
-            // Push the non-preferred child first so the preferred one pops first.
-            if left_first {
-                stack.push((node.right, ip_right));
-                stack.push((node.left, ip_left));
-            } else {
-                stack.push((node.left, ip_left));
-                stack.push((node.right, ip_right));
-            }
-        }
-
-        stats.time_total_ns = start.elapsed().as_nanos() as u64;
-        SearchResult { neighbors: collector.take_sorted(), stats }
     }
 }
 
@@ -170,7 +88,7 @@ impl P2hIndex for BallTree {
     }
 
     fn search(&self, query: &HyperplaneQuery, params: &SearchParams) -> SearchResult {
-        self.run_search(query, params, &mut QueryScratch::new())
+        self.search_with_scratch(query, params, &mut QueryScratch::new())
     }
 
     fn search_with_scratch(
@@ -179,7 +97,17 @@ impl P2hIndex for BallTree {
         params: &SearchParams,
         scratch: &mut QueryScratch,
     ) -> SearchResult {
-        self.run_search(query, params, scratch)
+        search_one(&self.arrays(), &BallTreeRules, query, params, scratch)
+    }
+
+    fn search_group_with_scratch(
+        &self,
+        queries: &[HyperplaneQuery],
+        params: &[&SearchParams],
+        scratch: &mut QueryScratch,
+        out: &mut Vec<SearchResult>,
+    ) {
+        search_group(&self.arrays(), &BallTreeRules, queries, params, scratch, out);
     }
 }
 
@@ -187,7 +115,7 @@ impl P2hIndex for BallTree {
 mod tests {
     use super::*;
     use crate::build::BallTreeBuilder;
-    use p2h_core::{LinearScan, PointSet};
+    use p2h_core::{BranchPreference, LinearScan, PointSet};
     use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
 
     fn dataset(n: usize, dim: usize, seed: u64) -> PointSet {

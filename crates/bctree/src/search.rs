@@ -1,29 +1,117 @@
 //! BC-Tree search (Algorithm 5 of the paper): collaborative inner-product computing at
 //! internal nodes and point-level (ball + cone) pruning inside the leaves.
 //!
-//! Like the Ball-Tree, the traversal is iterative (explicit stack in the caller's
-//! [`QueryScratch`]) and leaf verification is blocked. Point-level pruning is applied at
-//! **strip granularity**: for each strip of up to [`LEAF_STRIP`] leaf rows, the bounds
-//! are evaluated against the threshold `q.λ` as of the strip start, the surviving rows
-//! are verified (through one [`kernels::abs_dot_block`] matvec when the whole strip
-//! survives, per-row kernels otherwise — bit-identical either way), and `q.λ` is
-//! refreshed between strips. Because the bounds are true lower bounds, pruning with a
-//! slightly stale (i.e. larger or equal) threshold only ever verifies *extra* points —
-//! never skips a point that could enter the top-k — so exactness is preserved while the
-//! verification loop becomes a matvec.
+//! The traversal itself is the loop shared with the Ball-Tree
+//! ([`p2h_balltree::traverse`]); this module supplies the BC-Tree's two rules. Point-level
+//! pruning is applied at **strip granularity**: for each strip of up to [`LEAF_STRIP`]
+//! leaf rows, the bounds are evaluated against the threshold `q.λ` as of the strip start,
+//! the surviving rows are verified (through one [`p2h_core::kernels::abs_dot_block`]
+//! matvec when they are a prefix of the strip, per-row kernels otherwise — bit-identical
+//! either way), and `q.λ` is refreshed between strips. Because the bounds are true lower
+//! bounds, pruning with a slightly stale (i.e. larger or equal) threshold only ever
+//! verifies *extra* points — never skips a point that could enter the top-k — so
+//! exactness is preserved while the verification loop becomes a matvec. Every prune is
+//! strict (`lb > λ`): a point whose bound *equals* the k-th distance may still displace
+//! an equally distant neighbor with a higher id.
 
-use std::time::Instant;
+use std::ops::Range;
 
-use p2h_balltree::bound::node_ball_bound;
+use p2h_balltree::traverse::{search_group, search_one, Selection, TraversalRules, TreeArrays};
 use p2h_balltree::Node;
 use p2h_core::{
-    kernels, BranchPreference, HyperplaneQuery, P2hIndex, QueryScratch, SearchParams, SearchResult,
+    kernels, HyperplaneQuery, P2hIndex, QueryScratch, Scalar, SearchParams, SearchResult,
     SearchStats, LEAF_STRIP,
 };
 
 use crate::bounds::{point_ball_bound, point_cone_bound, query_decomposition};
-use crate::build::BcTree;
+use crate::build::{BcTree, LeafPointAux};
 use crate::BcTreeVariant;
+
+/// Collaborative child dots, point-level ball and cone pruning (as far as `variant`
+/// enables them). The buffer-backed arrays are resolved once per search, like
+/// [`TreeArrays`].
+struct BcTreeRules<'a> {
+    center_norms: &'a [Scalar],
+    aux: &'a [LeafPointAux],
+    variant: BcTreeVariant,
+}
+
+/// A member's view of the leaf it is scanning.
+#[derive(Debug, Clone, Copy, Default)]
+struct LeafQuery {
+    /// `‖q‖`.
+    norm: Scalar,
+    /// `|⟨q, c⟩|` for the leaf center.
+    abs_ip: Scalar,
+    /// `‖q‖·cos θ` against the leaf center (signed).
+    q_cos: Scalar,
+    /// `‖q‖·sin θ` against the leaf center.
+    q_sin: Scalar,
+}
+
+impl TraversalRules for BcTreeRules<'_> {
+    type LeafState = LeafQuery;
+
+    /// Collaborative inner-product computing (Lemma 2): one O(d) inner product for the
+    /// left child, O(1) arithmetic for the right child.
+    #[inline]
+    fn child_ips(
+        &self,
+        tree: &TreeArrays<'_>,
+        q: &[Scalar],
+        [node, left, right]: [&Node; 3],
+        ip: Scalar,
+    ) -> (Scalar, Scalar, u64) {
+        let ip_left = kernels::dot(q, tree.center(left));
+        let size = node.size() as Scalar;
+        let size_l = left.size() as Scalar;
+        let size_r = right.size() as Scalar;
+        let ip_right = (size / size_r) * ip - (size_l / size_r) * ip_left;
+        (ip_left, ip_right, 1)
+    }
+
+    #[inline]
+    fn enter_leaf(&self, node_id: u32, ip: Scalar, query_norm: Scalar) -> LeafQuery {
+        let center_norm = self.center_norms[node_id as usize];
+        let (q_cos, q_sin) = query_decomposition(ip, center_norm, query_norm);
+        LeafQuery { norm: query_norm, abs_ip: ip.abs(), q_cos, q_sin }
+    }
+
+    /// The bounds phase of `ScanWithPruning` for one strip. A ball-bound hit prunes the
+    /// entire remaining leaf: points are sorted by descending `r_x`, so every later
+    /// point has an equal-or-larger bound.
+    #[inline]
+    fn select(
+        &self,
+        leaf: &LeafQuery,
+        rows: Range<usize>,
+        leaf_end: usize,
+        lambda: Scalar,
+        keep: &mut [u32; LEAF_STRIP],
+        stats: &mut SearchStats,
+    ) -> Selection {
+        let mut selection = Selection { kept: 0, contiguous: true, leaf_done: false };
+        for (p, aux) in rows.clone().zip(&self.aux[rows]) {
+            if self.variant.uses_ball_bound()
+                && point_ball_bound(leaf.abs_ip, leaf.norm, aux.radius) > lambda
+            {
+                stats.pruned_by_ball_bound += (leaf_end - p) as u64;
+                selection.leaf_done = true;
+                break;
+            }
+            if self.variant.uses_cone_bound()
+                && point_cone_bound(leaf.q_cos, leaf.q_sin, aux.x_cos, aux.x_sin) > lambda
+            {
+                stats.pruned_by_cone_bound += 1;
+                selection.contiguous = false;
+                continue;
+            }
+            keep[selection.kept] = p as u32;
+            selection.kept += 1;
+        }
+        selection
+    }
+}
 
 impl BcTree {
     /// Runs one query with an explicit ablation [`BcTreeVariant`] (Figure 8).
@@ -33,7 +121,7 @@ impl BcTree {
         params: &SearchParams,
         variant: BcTreeVariant,
     ) -> SearchResult {
-        self.run_search(query, params, variant, &mut QueryScratch::new())
+        self.search_variant_with_scratch(query, params, variant, &mut QueryScratch::new())
     }
 
     /// Scratch-reusing twin of [`BcTree::search_variant`].
@@ -44,251 +132,22 @@ impl BcTree {
         variant: BcTreeVariant,
         scratch: &mut QueryScratch,
     ) -> SearchResult {
-        self.run_search(query, params, variant, scratch)
+        search_one(&self.arrays(), &self.rules(variant), query, params, scratch)
     }
 
-    fn run_search(
-        &self,
-        query: &HyperplaneQuery,
-        params: &SearchParams,
-        variant: BcTreeVariant,
-        scratch: &mut QueryScratch,
-    ) -> SearchResult {
-        assert_eq!(
-            query.dim(),
-            self.points.dim(),
-            "query dimension must match the augmented data dimension"
-        );
-        let start = Instant::now();
-        scratch.reset(params.k);
-        let QueryScratch { collector, stack, strip, keep } = scratch;
-
-        let q = query.coeffs();
-        let query_norm = query.norm();
-        let dim = self.points.dim();
-        let preference = params.branch_preference;
-        let candidate_limit = params.candidate_limit.map_or(u64::MAX, |c| c as u64);
-        let timing = params.collect_timing;
-        let mut stats = SearchStats::default();
-
-        // Resolve the buffer-backed center array once per query: a mapped `VecBuf`
-        // pays a dynamic-dispatch slice resolution per deref, which must stay out of
-        // the per-node loop below.
-        let centers: &[p2h_core::Scalar] = &self.centers;
-        let center_of = |node: &Node| {
-            let start = node.center_offset as usize * dim;
-            &centers[start..start + dim]
-        };
-
-        let timer = timing.then(Instant::now);
-        let ip_root = kernels::dot(q, center_of(&self.nodes[0]));
-        stats.inner_products += 1;
-        if let Some(t) = timer {
-            stats.time_bounds_ns += t.elapsed().as_nanos() as u64;
+    fn arrays(&self) -> TreeArrays<'_> {
+        TreeArrays {
+            nodes: &self.nodes,
+            centers: &self.centers,
+            points: self.points.as_flat(),
+            original_ids: &self.original_ids,
+            dim: self.points.dim(),
         }
-        stack.push((0, ip_root));
-
-        'traversal: while let Some((node_id, ip)) = stack.pop() {
-            let node = &self.nodes[node_id as usize];
-            stats.nodes_visited += 1;
-
-            let lb = node_ball_bound(ip.abs(), query_norm, node.radius);
-            if lb >= collector.threshold() {
-                stats.pruned_subtrees += 1;
-                continue;
-            }
-
-            if node.is_leaf() {
-                stats.leaves_visited += 1;
-                let exhausted = self.scan_leaf(ScanLeaf {
-                    node_idx: node_id as usize,
-                    node,
-                    ip_node: ip,
-                    q,
-                    query_norm,
-                    dim,
-                    variant,
-                    candidate_limit,
-                    timing,
-                    collector,
-                    strip,
-                    keep,
-                    stats: &mut stats,
-                });
-                if exhausted {
-                    break 'traversal;
-                }
-                continue;
-            }
-
-            // Collaborative inner-product computing (Lemma 2): one O(d) inner product
-            // for the left child, O(1) arithmetic for the right child.
-            let timer = timing.then(Instant::now);
-            let left = &self.nodes[node.left as usize];
-            let right = &self.nodes[node.right as usize];
-            let ip_left = kernels::dot(q, center_of(left));
-            stats.inner_products += 1;
-            let size = node.size() as p2h_core::Scalar;
-            let size_l = left.size() as p2h_core::Scalar;
-            let size_r = right.size() as p2h_core::Scalar;
-            let ip_right = (size / size_r) * ip - (size_l / size_r) * ip_left;
-            if let Some(t) = timer {
-                stats.time_bounds_ns += t.elapsed().as_nanos() as u64;
-            }
-
-            let left_first = match preference {
-                BranchPreference::Center => ip_left.abs() < ip_right.abs(),
-                BranchPreference::LowerBound => {
-                    node_ball_bound(ip_left.abs(), query_norm, left.radius)
-                        < node_ball_bound(ip_right.abs(), query_norm, right.radius)
-                }
-            };
-            if left_first {
-                stack.push((node.right, ip_right));
-                stack.push((node.left, ip_left));
-            } else {
-                stack.push((node.left, ip_left));
-                stack.push((node.right, ip_right));
-            }
-        }
-
-        stats.time_total_ns = start.elapsed().as_nanos() as u64;
-        SearchResult { neighbors: collector.take_sorted(), stats }
     }
 
-    /// The `ScanWithPruning` routine of Algorithm 5 at strip granularity.
-    ///
-    /// Returns `true` when the candidate budget was exhausted (the traversal stops).
-    fn scan_leaf(&self, args: ScanLeaf<'_, '_>) -> bool {
-        let ScanLeaf {
-            node_idx,
-            node,
-            ip_node,
-            q,
-            query_norm,
-            dim,
-            variant,
-            candidate_limit,
-            timing,
-            collector,
-            strip,
-            keep,
-            stats,
-        } = args;
-
-        // Per-leaf buffer resolution (see the traversal: derefs of mapped buffers
-        // must not happen per candidate).
-        let points_flat = self.points.as_flat();
-        let original_ids: &[u32] = &self.original_ids;
-
-        let bounds_timer = timing.then(Instant::now);
-        let center_norm = self.center_norms[node_idx];
-        let (q_cos, q_sin) = query_decomposition(ip_node, center_norm, query_norm);
-        let abs_ip = ip_node.abs();
-        if let Some(t) = bounds_timer {
-            stats.time_bounds_ns += t.elapsed().as_nanos() as u64;
-        }
-
-        let mut pos = node.start as usize;
-        let end = node.end as usize;
-        while pos < end {
-            if stats.candidates_verified >= candidate_limit {
-                return true;
-            }
-            let strip_end = end.min(pos + LEAF_STRIP);
-            let lambda = collector.threshold();
-
-            // Phase 1: point-level bounds for the whole strip against the strip-start
-            // threshold. Survivors are recorded; a ball-bound hit prunes the entire
-            // remaining leaf (points are sorted by descending r_x, so every later point
-            // has an equal-or-larger bound).
-            let timer = timing.then(Instant::now);
-            let mut kept = 0usize;
-            let mut suffix_pruned = false;
-            for p in pos..strip_end {
-                let aux = self.aux[p];
-                if variant.uses_ball_bound() {
-                    let lb_ball = point_ball_bound(abs_ip, query_norm, aux.radius);
-                    if lb_ball >= lambda {
-                        stats.pruned_by_ball_bound += (end - p) as u64;
-                        suffix_pruned = true;
-                        break;
-                    }
-                }
-                if variant.uses_cone_bound() {
-                    let lb_cone = point_cone_bound(q_cos, q_sin, aux.x_cos, aux.x_sin);
-                    if lb_cone >= lambda {
-                        stats.pruned_by_cone_bound += 1;
-                        continue;
-                    }
-                }
-                keep[kept] = p as u32;
-                kept += 1;
-            }
-            if let Some(t) = timer {
-                stats.time_bounds_ns += t.elapsed().as_nanos() as u64;
-            }
-
-            // Phase 2: verify the survivors, capped by the remaining candidate budget.
-            let budget = candidate_limit - stats.candidates_verified;
-            let take = kept.min(budget.min(usize::MAX as u64) as usize);
-            let timer = timing.then(Instant::now);
-            if take > 0 {
-                let full_strip = kept == strip_end - pos && !suffix_pruned;
-                if full_strip && take == kept {
-                    // Nothing pruned: verify the contiguous strip as one matvec.
-                    kernels::abs_dot_block(
-                        q,
-                        &points_flat[pos * dim..strip_end * dim],
-                        dim,
-                        &mut strip[..take],
-                    );
-                    for (i, &dist) in strip[..take].iter().enumerate() {
-                        collector.offer(original_ids[pos + i] as usize, dist);
-                    }
-                } else {
-                    // Holes from pruning (or a trimmed budget): verify survivors with
-                    // the single-row kernel, which is bit-identical per row.
-                    for &p in &keep[..take] {
-                        let p = p as usize;
-                        let dist = kernels::abs_dot(&points_flat[p * dim..(p + 1) * dim], q);
-                        collector.offer(original_ids[p] as usize, dist);
-                    }
-                }
-                stats.inner_products += take as u64;
-                stats.candidates_verified += take as u64;
-            }
-            if let Some(t) = timer {
-                stats.time_verify_ns += t.elapsed().as_nanos() as u64;
-            }
-
-            if take < kept {
-                return true; // Budget ran out mid-strip.
-            }
-            if suffix_pruned {
-                return false; // Rest of the leaf is ball-bound-pruned; leaf done.
-            }
-            pos = strip_end;
-        }
-        false
+    fn rules(&self, variant: BcTreeVariant) -> BcTreeRules<'_> {
+        BcTreeRules { center_norms: &self.center_norms, aux: &self.aux, variant }
     }
-}
-
-/// Argument bundle for [`BcTree::scan_leaf`] (avoids a dozen positional parameters).
-struct ScanLeaf<'a, 'b> {
-    node_idx: usize,
-    node: &'a Node,
-    ip_node: p2h_core::Scalar,
-    q: &'a [p2h_core::Scalar],
-    query_norm: p2h_core::Scalar,
-    dim: usize,
-    variant: BcTreeVariant,
-    candidate_limit: u64,
-    timing: bool,
-    collector: &'b mut p2h_core::TopKCollector,
-    strip: &'b mut [p2h_core::Scalar; LEAF_STRIP],
-    keep: &'b mut [u32; LEAF_STRIP],
-    stats: &'b mut SearchStats,
 }
 
 /// A borrowed view of a [`BcTree`] that answers queries with a fixed ablation
@@ -367,6 +226,17 @@ impl P2hIndex for BcTree {
     ) -> SearchResult {
         self.search_variant_with_scratch(query, params, BcTreeVariant::Full, scratch)
     }
+
+    fn search_group_with_scratch(
+        &self,
+        queries: &[HyperplaneQuery],
+        params: &[&SearchParams],
+        scratch: &mut QueryScratch,
+        out: &mut Vec<SearchResult>,
+    ) {
+        let rules = self.rules(BcTreeVariant::Full);
+        search_group(&self.arrays(), &rules, queries, params, scratch, out);
+    }
 }
 
 #[cfg(test)]
@@ -374,7 +244,7 @@ mod tests {
     use super::*;
     use crate::build::BcTreeBuilder;
     use p2h_balltree::BallTreeBuilder;
-    use p2h_core::{LinearScan, PointSet};
+    use p2h_core::{BranchPreference, LinearScan, PointSet};
     use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
 
     fn dataset(n: usize, dim: usize, seed: u64) -> PointSet {

@@ -66,6 +66,16 @@ impl SearchParams {
         self.collect_timing = true;
         self
     }
+
+    /// Whether a query under `self` and one under `other` may be answered by one shared
+    /// tree traversal ([`P2hIndex::search_group_with_scratch`]): both exact and
+    /// untimed, with the same branch preference. A budgeted answer depends on the visit
+    /// order and a timed query is clocked on its own, so neither is ever grouped; `k`
+    /// may differ, every member keeps its own top-k.
+    pub fn shares_traversal_with(&self, other: &SearchParams) -> bool {
+        let alone = |p: &SearchParams| p.candidate_limit.is_some() || p.collect_timing;
+        !alone(self) && !alone(other) && self.branch_preference == other.branch_preference
+    }
 }
 
 impl Default for SearchParams {
@@ -275,6 +285,35 @@ pub trait P2hIndex: Send + Sync {
         self.search(query, params)
     }
 
+    /// Answers `queries[i]` under `params[i]` for every `i`, appending the results to
+    /// `out` in that order.
+    ///
+    /// Every result's neighbors are identical to [`P2hIndex::search_with_scratch`] on
+    /// that query alone. The default is exactly that loop. The tree indexes override
+    /// it: members that may share a traversal
+    /// ([`SearchParams::shares_traversal_with`]) descend the tree together, so every
+    /// leaf strip is verified for the whole group while it is cache-hot. Such a member's
+    /// work counters are those of the shared visit order (they depend on its
+    /// companions; its neighbors do not), and its `time_total_ns` is the group's wall
+    /// time. Results go to a caller-owned vector because the group path, like the
+    /// single one, allocates nothing per query but each result's neighbor list.
+    ///
+    /// # Panics
+    ///
+    /// If `queries` and `params` differ in length.
+    fn search_group_with_scratch(
+        &self,
+        queries: &[HyperplaneQuery],
+        params: &[&SearchParams],
+        scratch: &mut QueryScratch,
+        out: &mut Vec<SearchResult>,
+    ) {
+        assert_eq!(queries.len(), params.len(), "one SearchParams per group member");
+        for (query, params) in queries.iter().zip(params) {
+            out.push(self.search_with_scratch(query, params, scratch));
+        }
+    }
+
     /// Convenience wrapper: exact top-k search with default parameters.
     fn search_exact(&self, query: &HyperplaneQuery, k: usize) -> SearchResult {
         self.search(query, &SearchParams::exact(k))
@@ -299,6 +338,20 @@ mod tests {
         let lb = exact.with_branch_preference(BranchPreference::LowerBound);
         assert_eq!(lb.branch_preference, BranchPreference::LowerBound);
         assert_eq!(SearchParams::default().k, 1);
+    }
+
+    #[test]
+    fn only_exact_untimed_queries_of_one_preference_share_a_traversal() {
+        let exact = SearchParams::exact(10);
+        assert!(exact.shares_traversal_with(&SearchParams::exact(3)), "k may differ");
+        assert!(!exact.shares_traversal_with(&SearchParams::approximate(10, 500)));
+        assert!(!SearchParams::approximate(10, 500).shares_traversal_with(&exact));
+        assert!(!exact.shares_traversal_with(&exact.clone().with_timing()));
+        let lower = exact.clone().with_branch_preference(BranchPreference::LowerBound);
+        assert!(!exact.shares_traversal_with(&lower));
+        assert!(lower.shares_traversal_with(&lower));
+        let budgeted = SearchParams::approximate(10, 500);
+        assert!(!budgeted.shares_traversal_with(&budgeted), "not even with itself");
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub use kernels::KernelBackend;
 pub use linear_scan::LinearScan;
 pub use point_set::PointSet;
 pub use query::HyperplaneQuery;
-pub use scratch::{QueryScratch, LEAF_STRIP};
+pub use scratch::{QueryScratch, TraversalFrame, GROUP_WIDTH, LEAF_STRIP};
 pub use topk::{merge_topk, Neighbor, TopKCollector};
 
 /// The floating point type used for data points and queries throughout the workspace.

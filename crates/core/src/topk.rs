@@ -71,6 +71,10 @@ pub fn merge_topk(k: usize, lists: Vec<Vec<Neighbor>>) -> Vec<Neighbor> {
     merged
 }
 
+/// Largest `k` whose heap storage is allocated up front. `k` reaches the collector
+/// unvalidated from the wire, so a larger one only grows the heap as candidates arrive.
+const PRESIZE_LIMIT: usize = 256;
+
 /// A bounded max-heap that keeps the `k` smallest-distance neighbors seen so far.
 ///
 /// This is the `q.bm` / `q.λ` pair of Algorithms 3 and 5 in the paper generalized to
@@ -86,7 +90,7 @@ impl TopKCollector {
     /// Creates a collector for the `k` nearest neighbors. `k` is clamped to at least 1.
     pub fn new(k: usize) -> Self {
         let k = k.max(1);
-        Self { k, heap: BinaryHeap::with_capacity(k + 1) }
+        Self { k, heap: BinaryHeap::with_capacity(k.min(PRESIZE_LIMIT)) }
     }
 
     /// The `k` this collector was created with.
@@ -116,8 +120,10 @@ impl TopKCollector {
     /// The current pruning threshold `q.λ`: the k-th smallest distance seen so far, or
     /// `+∞` while fewer than `k` candidates have been accepted.
     ///
-    /// Any candidate (or subtree) whose lower bound is at least this value cannot improve
-    /// the result set and can be pruned.
+    /// Any candidate (or subtree) whose lower bound is strictly greater than this value
+    /// cannot enter the result set and can be pruned. A bound *equal* to it must not
+    /// prune: a point at exactly the k-th distance with a lower index still displaces
+    /// the incumbent (see [`Self::offer`]).
     #[inline]
     pub fn threshold(&self) -> Scalar {
         if self.is_full() {
@@ -128,19 +134,31 @@ impl TopKCollector {
     }
 
     /// Offers a candidate; returns `true` if it entered the current top-k.
+    ///
+    /// Once the collector is full a candidate is admitted iff it precedes the current
+    /// worst neighbor under the total [`Neighbor`] order (distance, then index). The
+    /// collector therefore always holds the `k` smallest neighbors offered so far under
+    /// that order, whatever the order they were offered in — which is what makes an
+    /// exact tree search agree with [`crate::LinearScan`] on ids at tied distances.
+    #[inline]
     pub fn offer(&mut self, index: usize, distance: Scalar) -> bool {
         if self.heap.len() < self.k {
             self.heap.push(Neighbor::new(index, distance));
             return true;
         }
-        // Heap is full: replace the current worst if the candidate is strictly better.
-        if distance < self.threshold() {
-            self.heap.pop();
-            self.heap.push(Neighbor::new(index, distance));
-            true
-        } else {
-            false
+        // Nearly every offer to a full collector is farther than the worst neighbor
+        // held: reject it on one float compare. (False for a NaN on either side, which
+        // then takes the total order below like any tie.)
+        let worst = self.heap.peek().expect("k >= 1, so a full heap is not empty");
+        if distance > worst.distance {
+            return false;
         }
+        let candidate = Neighbor::new(index, distance);
+        if candidate >= *worst {
+            return false;
+        }
+        *self.heap.peek_mut().expect("a full heap is not empty") = candidate;
+        true
     }
 
     /// Prepares the collector for a fresh query: empties the heap (keeping its
@@ -153,6 +171,7 @@ impl TopKCollector {
     pub fn reset(&mut self, k: usize) {
         self.k = k.max(1);
         self.heap.clear();
+        self.heap.reserve(self.k.min(PRESIZE_LIMIT));
     }
 
     /// Drains the collector and returns the neighbors sorted by ascending distance,
@@ -233,8 +252,11 @@ mod tests {
         assert!(a < b);
         let mut c = TopKCollector::new(1);
         c.offer(5, 1.0);
-        // An equal distance does not displace the incumbent (strictly-better rule).
-        assert!(!c.offer(3, 1.0));
+        // At an equal distance the lower index displaces the incumbent, the higher one
+        // does not: the survivor does not depend on the order of the offers.
+        assert!(c.offer(3, 1.0));
+        assert!(!c.offer(4, 1.0));
+        assert_eq!(c.into_sorted_vec(), vec![a]);
     }
 
     #[test]
@@ -299,6 +321,38 @@ mod tests {
             expected.sort_by(|a, b| a.total_cmp(b));
             expected.truncate(k);
             prop_assert_eq!(got, expected);
+        }
+
+        #[test]
+        fn result_is_independent_of_offer_order(
+            // Few distinct values, so the k-th boundary is usually a tie.
+            quantised in proptest::collection::vec(0u32..6, 1..120),
+            k in 1usize..12,
+            rotate in 0usize..120,
+        ) {
+            let offers: Vec<Neighbor> = quantised
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| Neighbor::new(i, d as Scalar * 0.25))
+                .collect();
+            let mut expected = offers.clone();
+            expected.sort_unstable();
+            expected.truncate(k);
+
+            let mut forward = TopKCollector::new(k);
+            let mut backward = TopKCollector::new(k);
+            let mut rotated = TopKCollector::new(k);
+            let shift = rotate % offers.len();
+            for i in 0..offers.len() {
+                let (f, b) = (offers[i], offers[offers.len() - 1 - i]);
+                let r = offers[(i + shift) % offers.len()];
+                forward.offer(f.index, f.distance);
+                backward.offer(b.index, b.distance);
+                rotated.offer(r.index, r.distance);
+            }
+            prop_assert_eq!(forward.into_sorted_vec(), expected.clone());
+            prop_assert_eq!(backward.into_sorted_vec(), expected.clone());
+            prop_assert_eq!(rotated.into_sorted_vec(), expected);
         }
 
         #[test]
