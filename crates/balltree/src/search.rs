@@ -4,20 +4,22 @@
 //! the Ball-Tree's two rules. Child centers cost two O(d) inner products per expanded
 //! node (the cost model of Theorem 5), taken from one two-row blocked matvec because
 //! sibling centers are stored adjacently. Leaves are scanned exhaustively (the
-//! `ExhaustiveScan` routine): every row of every strip goes to
-//! [`kernels::abs_dot_block`], so the distances are bit-identical to
+//! `ExhaustiveScan` routine): every row of every strip is selected for
+//! [`kernels::abs_dot_tile`], so the distances are bit-identical to
 //! [`p2h_core::LinearScan`]'s, which shares the dispatched kernels.
 
 use std::ops::Range;
 
 use p2h_core::{
     kernels, HyperplaneQuery, P2hIndex, QueryScratch, Scalar, SearchParams, SearchResult,
-    SearchStats, LEAF_STRIP,
+    SearchStats,
 };
 
 use crate::build::BallTree;
 use crate::node::Node;
-use crate::traverse::{search_group, search_one, Selection, TraversalRules, TreeArrays};
+use crate::traverse::{
+    first_rows, search_group, search_one, Selection, TraversalRules, TreeArrays,
+};
 
 /// Paired child dots, plain leaf scan.
 struct BallTreeRules;
@@ -51,10 +53,9 @@ impl TraversalRules for BallTreeRules {
         rows: Range<usize>,
         _leaf_end: usize,
         _lambda: Scalar,
-        _keep: &mut [u32; LEAF_STRIP],
         _stats: &mut SearchStats,
     ) -> Selection {
-        Selection { kept: rows.len(), contiguous: true, leaf_done: false }
+        Selection { mask: first_rows(rows.len()), leaf_done: false }
     }
 }
 

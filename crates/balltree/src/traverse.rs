@@ -5,14 +5,17 @@
 //! product plus Lemma 2's O(1) arithmetic) and which rows of a leaf strip still need
 //! their exact distance (all of them, or the survivors of the point-level ball and
 //! cone bounds). Those two decisions are a [`TraversalRules`]; everything else — the
-//! explicit stack, node-level pruning, branch order, blocked verification, the candidate
+//! explicit stack, node-level pruning, branch order, tile verification, the candidate
 //! budget, statistics and timing — is [`traverse`], written once.
 //!
 //! The loop answers a **group** of up to `W` queries in one descent. A stack frame
 //! carries the node, the mask of members that have not pruned an ancestor of it, and
 //! each member's `⟨q, c⟩`. Every member prunes against its own threshold `λ`; the
 //! children are pushed in the order most active members prefer; and at a leaf each
-//! strip of [`LEAF_STRIP`] rows is verified for every member still scanning the leaf
+//! strip of [`LEAF_STRIP`] rows is a *tile*: every member still scanning the leaf
+//! selects its rows as a bitmask, members that selected the same rows share one
+//! [`kernels::abs_dot_tile`] call (each row is loaded once for four of them), and only
+//! the rows whose distance can still enter a member's top-k are offered to it — all
 //! before the next strip is touched, so the rows are read from memory once per group
 //! instead of once per query. A single-query search is the `W = 1` instance of the same
 //! code: one member, one vote, no masking left after monomorphisation.
@@ -64,16 +67,22 @@ impl<'a> TreeArrays<'a> {
 /// Which rows of one leaf strip a member still has to verify.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Selection {
-    /// Number of surviving rows.
-    pub kept: usize,
-    /// Whether the survivors are the first `kept` rows of the strip. They are then
-    /// verified as one blocked matvec and `keep` is not read; otherwise `keep[..kept]`
-    /// holds their positions and each is verified with the single-row kernel
-    /// (bit-identical per row either way).
-    pub contiguous: bool,
+    /// Bit `i` is set iff row `rows.start + i` of the strip survives.
+    pub mask: u64,
     /// Whether everything after this strip is pruned too (the member is done with the
     /// leaf).
     pub leaf_done: bool,
+}
+
+/// The lowest `n` bits (`n` ≤ 64): the mask of a strip's first `n` rows.
+#[inline]
+pub fn first_rows(n: usize) -> u64 {
+    debug_assert!(n <= LEAF_STRIP);
+    if n == LEAF_STRIP {
+        u64::MAX
+    } else {
+        (1 << n) - 1
+    }
 }
 
 /// The two decisions in which the trees differ.
@@ -102,7 +111,6 @@ pub trait TraversalRules {
         rows: Range<usize>,
         leaf_end: usize,
         lambda: Scalar,
-        keep: &mut [u32; LEAF_STRIP],
         stats: &mut SearchStats,
     ) -> Selection;
 }
@@ -160,11 +168,11 @@ fn traverse<const W: usize, R: TraversalRules>(
     timing: bool,
     collectors: &mut [TopKCollector],
     stack: &mut Vec<TraversalFrame<W>>,
-    strip: &mut [Scalar; LEAF_STRIP],
-    keep: &mut [u32; LEAF_STRIP],
+    tile: &mut [[Scalar; LEAF_STRIP]],
 ) -> [SearchStats; W] {
     let width = group.len();
     assert!((1..=W).contains(&width) && collectors.len() >= width && W <= u8::BITS as usize);
+    assert!(tile.len() >= width, "one tile row per member");
     let everyone = u8::MAX >> (u8::BITS as usize - width);
     let dim = tree.dim;
     let mut stats = [SearchStats::default(); W];
@@ -207,60 +215,85 @@ fn traverse<const W: usize, R: TraversalRules>(
                 states[m] = rules.enter_leaf(frame.node, frame.ips[m], group[m].norm);
                 charge(timer, &mut stats[m].time_bounds_ns);
             }
-            // Strip-major: every member still scanning the leaf sees a strip (its own
-            // bounds against its own strip-start `λ`, then the blocked kernels) before
-            // the next strip is touched.
+            // Strip-major: every member still scanning the leaf is served from a strip
+            // before the next strip is touched.
             let end = node.end as usize;
             let mut pos = node.start as usize;
             let mut scanning = active;
             while pos < end && scanning != 0 {
                 let strip_end = end.min(pos + LEAF_STRIP);
+
+                // Pass 1: each member's rows, from its own bounds against its own
+                // strip-start `λ`, cut to what is left of its budget.
+                let mut masks = [0u64; W];
+                let mut selected = 0u8;
                 for m in members::<W>(scanning) {
-                    let member = &group[m];
-                    let (tally, collector) = (&mut stats[m], &mut collectors[m]);
-                    let budget = member.limit.saturating_sub(tally.candidates_verified);
+                    let tally = &mut stats[m];
+                    let budget = group[m].limit.saturating_sub(tally.candidates_verified);
                     if budget == 0 {
                         finished |= 1 << m;
                         scanning &= !(1 << m);
                         continue;
                     }
-
                     let timer = timing.then(Instant::now);
-                    let selection = rules.select(
-                        &states[m],
-                        pos..strip_end,
-                        end,
-                        collector.threshold(),
-                        keep,
-                        tally,
-                    );
-                    charge(timer, &mut tally.time_bounds_ns);
-
-                    let take = selection.kept.min(usize::try_from(budget).unwrap_or(usize::MAX));
-                    let timer = timing.then(Instant::now);
-                    if selection.contiguous {
-                        let rows = &tree.points[pos * dim..(pos + take) * dim];
-                        kernels::abs_dot_block(member.q, rows, dim, &mut strip[..take]);
-                        for (i, &distance) in strip[..take].iter().enumerate() {
-                            collector.offer(tree.original_ids[pos + i] as usize, distance);
+                    let lambda = collectors[m].threshold();
+                    let selection = rules.select(&states[m], pos..strip_end, end, lambda, tally);
+                    let mut mask = selection.mask;
+                    if u64::from(mask.count_ones()) > budget {
+                        // The budget runs out mid-strip: the first `budget` rows only.
+                        let mut rest = mask;
+                        for _ in 0..budget {
+                            kernels::pop_row(&mut rest);
                         }
-                    } else {
-                        for &p in &keep[..take] {
-                            let p = p as usize;
-                            let distance =
-                                kernels::abs_dot(&tree.points[p * dim..(p + 1) * dim], member.q);
-                            collector.offer(tree.original_ids[p] as usize, distance);
-                        }
-                    }
-                    tally.inner_products += take as u64;
-                    tally.candidates_verified += take as u64;
-                    charge(timer, &mut tally.time_verify_ns);
-
-                    if take < selection.kept {
-                        finished |= 1 << m; // The budget ran out mid-strip.
+                        mask &= !rest;
+                        finished |= 1 << m;
                         scanning &= !(1 << m);
                     } else if selection.leaf_done {
                         scanning &= !(1 << m);
+                    }
+                    charge(timer, &mut tally.time_bounds_ns);
+                    if mask != 0 {
+                        masks[m] = mask;
+                        selected |= 1 << m;
+                    }
+                }
+
+                // Pass 2: one tile call per class of members that selected the same
+                // rows — the whole group where the bounds cannot prune. The kernel is
+                // handed the rest of the leaf, to prefetch the next strip from.
+                let rows = &tree.points[pos * dim..end * dim];
+                let ids = &tree.original_ids[pos..strip_end];
+                while selected != 0 {
+                    let mask = masks[selected.trailing_zeros() as usize];
+                    let mut class = [0usize; W];
+                    let mut class_q = [group[0].q; W];
+                    let mut n = 0;
+                    for m in members::<W>(selected) {
+                        if masks[m] == mask {
+                            (class[n], class_q[n]) = (m, group[m].q);
+                            n += 1;
+                            selected &= !(1 << m);
+                        }
+                    }
+                    let timer = timing.then(Instant::now);
+                    kernels::abs_dot_tile(&class_q[..n], rows, dim, mask, &mut tile[..n]);
+
+                    // Pass 3: only rows that can still enter a member's top-k reach
+                    // `offer` (a `λ` gone stale within the strip lets more through,
+                    // and `offer` decides those as it always did).
+                    let verified = u64::from(mask.count_ones());
+                    for (&m, distances) in class[..n].iter().zip(tile.iter()) {
+                        let collector = &mut collectors[m];
+                        let too_far =
+                            kernels::mask_gt(&distances[..ids.len()], collector.threshold());
+                        let mut entering = mask & !too_far;
+                        while entering != 0 {
+                            let row = kernels::pop_row(&mut entering);
+                            collector.offer(ids[row] as usize, distances[row]);
+                        }
+                        stats[m].inner_products += verified;
+                        stats[m].candidates_verified += verified;
+                        charge(timer, &mut stats[m].time_verify_ns);
                     }
                 }
                 pos = strip_end;
@@ -318,7 +351,7 @@ pub fn search_one<R: TraversalRules>(
     let start = Instant::now();
     let member = Member::new(tree, query, params);
     scratch.reset(params.k);
-    let QueryScratch { collector, stack, strip, keep, .. } = scratch;
+    let QueryScratch { collector, stack, tile, .. } = scratch;
     let [mut stats] = traverse::<1, R>(
         tree,
         rules,
@@ -327,8 +360,7 @@ pub fn search_one<R: TraversalRules>(
         params.collect_timing,
         std::slice::from_mut(collector),
         stack,
-        strip,
-        keep,
+        tile,
     );
     stats.time_total_ns = start.elapsed().as_nanos() as u64;
     SearchResult { neighbors: collector.take_sorted(), stats }
@@ -356,12 +388,16 @@ pub fn search_group<R: TraversalRules>(
         }
 
         let start = Instant::now();
-        let mut group = [Member::new(tree, &queries[0], params[0]); GROUP_WIDTH];
-        for m in 1..width {
-            group[m] = Member::new(tree, &queries[m], params[m]);
-        }
         scratch.reset_group(params.iter().map(|p| p.k));
-        let QueryScratch { group_collectors, group_stack, strip, keep, .. } = scratch;
+        let QueryScratch { group_collectors, group_stack, group_coeffs, tile, .. } = scratch;
+        // The tile kernel streams every member's coefficients against every row it
+        // verifies: give each a cache-line-aligned copy for the whole descent.
+        group_coeffs.stage(tree.dim, queries.iter().map(HyperplaneQuery::coeffs));
+        // (Slots past `width` repeat the last member and are never read.)
+        let group: [Member<'_>; GROUP_WIDTH] = std::array::from_fn(|slot| {
+            let m = slot.min(width - 1);
+            Member { q: group_coeffs.member(m), ..Member::new(tree, &queries[m], params[m]) }
+        });
         let stats = traverse::<GROUP_WIDTH, R>(
             tree,
             rules,
@@ -370,8 +406,7 @@ pub fn search_group<R: TraversalRules>(
             false,
             group_collectors,
             group_stack,
-            strip,
-            keep,
+            tile,
         );
         let time_total_ns = start.elapsed().as_nanos() as u64;
         for (collector, stats) in group_collectors.iter_mut().zip(&stats[..width]) {

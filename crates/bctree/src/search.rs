@@ -4,19 +4,21 @@
 //! The traversal itself is the loop shared with the Ball-Tree
 //! ([`p2h_balltree::traverse`]); this module supplies the BC-Tree's two rules. Point-level
 //! pruning is applied at **strip granularity**: for each strip of up to [`LEAF_STRIP`]
-//! leaf rows, the bounds are evaluated against the threshold `q.λ` as of the strip start,
-//! the surviving rows are verified (through one [`p2h_core::kernels::abs_dot_block`]
-//! matvec when they are a prefix of the strip, per-row kernels otherwise — bit-identical
-//! either way), and `q.λ` is refreshed between strips. Because the bounds are true lower
-//! bounds, pruning with a slightly stale (i.e. larger or equal) threshold only ever
-//! verifies *extra* points — never skips a point that could enter the top-k — so
-//! exactness is preserved while the verification loop becomes a matvec. Every prune is
-//! strict (`lb > λ`): a point whose bound *equals* the k-th distance may still displace
-//! an equally distant neighbor with a higher id.
+//! leaf rows, both bounds are evaluated for the whole strip, branch-free, and compared
+//! with the threshold `q.λ` as of the strip start ([`kernels::mask_gt`]); the surviving
+//! rows are a bitmask that goes to one [`kernels::abs_dot_tile`] call, and `q.λ` is
+//! refreshed between strips. Because the bounds are true lower bounds, pruning with a
+//! slightly stale (i.e. larger or equal) threshold only ever verifies *extra* points —
+//! never skips a point that could enter the top-k — so exactness is preserved while the
+//! bounds loop and the verification loop both vectorise. Every prune is strict
+//! (`lb > λ`): a point whose bound *equals* the k-th distance may still displace an
+//! equally distant neighbor with a higher id.
 
 use std::ops::Range;
 
-use p2h_balltree::traverse::{search_group, search_one, Selection, TraversalRules, TreeArrays};
+use p2h_balltree::traverse::{
+    first_rows, search_group, search_one, Selection, TraversalRules, TreeArrays,
+};
 use p2h_balltree::Node;
 use p2h_core::{
     kernels, HyperplaneQuery, P2hIndex, QueryScratch, Scalar, SearchParams, SearchResult,
@@ -77,9 +79,12 @@ impl TraversalRules for BcTreeRules<'_> {
         LeafQuery { norm: query_norm, abs_ip: ip.abs(), q_cos, q_sin }
     }
 
-    /// The bounds phase of `ScanWithPruning` for one strip. A ball-bound hit prunes the
-    /// entire remaining leaf: points are sorted by descending `r_x`, so every later
-    /// point has an equal-or-larger bound.
+    /// The bounds phase of `ScanWithPruning` for one strip: what a row-by-row loop over
+    /// the two point-level bounds decides, a strip at a time — each bound goes into an
+    /// array for every row (no branch, so the loops vectorise) and is compared with `λ`
+    /// in one [`kernels::mask_gt`]. A ball-bound hit prunes the entire remaining leaf:
+    /// points are sorted by descending `r_x`, so every later point has an
+    /// equal-or-larger bound.
     #[inline]
     fn select(
         &self,
@@ -87,27 +92,30 @@ impl TraversalRules for BcTreeRules<'_> {
         rows: Range<usize>,
         leaf_end: usize,
         lambda: Scalar,
-        keep: &mut [u32; LEAF_STRIP],
         stats: &mut SearchStats,
     ) -> Selection {
-        let mut selection = Selection { kept: 0, contiguous: true, leaf_done: false };
-        for (p, aux) in rows.clone().zip(&self.aux[rows]) {
-            if self.variant.uses_ball_bound()
-                && point_ball_bound(leaf.abs_ip, leaf.norm, aux.radius) > lambda
-            {
-                stats.pruned_by_ball_bound += (leaf_end - p) as u64;
-                selection.leaf_done = true;
-                break;
+        let strip_start = rows.start;
+        let aux = &self.aux[rows];
+        let mut bounds = [0.0; LEAF_STRIP];
+        let mut selection = Selection { mask: first_rows(aux.len()), leaf_done: false };
+        if self.variant.uses_ball_bound() {
+            for (bound, aux) in bounds.iter_mut().zip(aux) {
+                *bound = point_ball_bound(leaf.abs_ip, leaf.norm, aux.radius);
             }
-            if self.variant.uses_cone_bound()
-                && point_cone_bound(leaf.q_cos, leaf.q_sin, aux.x_cos, aux.x_sin) > lambda
-            {
-                stats.pruned_by_cone_bound += 1;
-                selection.contiguous = false;
-                continue;
+            let beyond = kernels::mask_gt(&bounds[..aux.len()], lambda);
+            if beyond != 0 {
+                let cut = beyond.trailing_zeros() as usize;
+                stats.pruned_by_ball_bound += (leaf_end - (strip_start + cut)) as u64;
+                selection = Selection { mask: first_rows(cut), leaf_done: true };
             }
-            keep[selection.kept] = p as u32;
-            selection.kept += 1;
+        }
+        if self.variant.uses_cone_bound() {
+            for (bound, aux) in bounds.iter_mut().zip(aux) {
+                *bound = point_cone_bound(leaf.q_cos, leaf.q_sin, aux.x_cos, aux.x_sin);
+            }
+            let pruned = kernels::mask_gt(&bounds[..aux.len()], lambda) & selection.mask;
+            stats.pruned_by_cone_bound += u64::from(pruned.count_ones());
+            selection.mask &= !pruned;
         }
         selection
     }
@@ -261,6 +269,101 @@ mod tests {
 
     fn queries(ps: &PointSet, count: usize) -> Vec<HyperplaneQuery> {
         generate_queries(ps, count, QueryDistribution::DataDifference, 123).unwrap()
+    }
+
+    /// What `select` must decide, one row at a time: the loop the strip version replaced.
+    fn select_row_by_row(
+        rules: &BcTreeRules<'_>,
+        leaf: &LeafQuery,
+        rows: Range<usize>,
+        leaf_end: usize,
+        lambda: Scalar,
+        stats: &mut SearchStats,
+    ) -> Selection {
+        let mut selection = Selection { mask: 0, leaf_done: false };
+        for p in rows.clone() {
+            let aux = &rules.aux[p];
+            if rules.variant.uses_ball_bound()
+                && point_ball_bound(leaf.abs_ip, leaf.norm, aux.radius) > lambda
+            {
+                stats.pruned_by_ball_bound += (leaf_end - p) as u64;
+                selection.leaf_done = true;
+                break;
+            }
+            if rules.variant.uses_cone_bound()
+                && point_cone_bound(leaf.q_cos, leaf.q_sin, aux.x_cos, aux.x_sin) > lambda
+            {
+                stats.pruned_by_cone_bound += 1;
+                continue;
+            }
+            selection.mask |= 1 << (p - rows.start);
+        }
+        selection
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The strip `select` against the row-by-row reference — mask, `leaf_done` and
+        /// both counters — on random leaves, for every variant, with thresholds that
+        /// prune nothing (`+∞`), everything, and that *equal* a row's bound (a prune
+        /// must be strict).
+        #[test]
+        fn strip_select_equals_the_row_by_row_reference(
+            leaf_rows in 1usize..150,
+            start in 0usize..150,
+            len in 1usize..LEAF_STRIP + 1,
+            seed in 0.0f32..1.0,
+            abs_ip in 0.0f32..6.0,
+            q_cos in -3.0f32..3.0,
+            lambda_pick in 0usize..6,
+        ) {
+            // A leaf's auxiliaries, sorted by descending radius as the builder leaves them.
+            let wave = |i: usize, rate: Scalar| ((i as Scalar + seed) * rate).sin();
+            let mut aux: Vec<LeafPointAux> = (0..leaf_rows)
+                .map(|i| LeafPointAux {
+                    radius: wave(i, 0.37).abs() * 2.5,
+                    x_cos: wave(i, 0.91) * 4.0,
+                    x_sin: wave(i, 1.73).abs() * 3.0,
+                })
+                .collect();
+            aux.sort_by(|a, b| b.radius.total_cmp(&a.radius));
+            let start = start % leaf_rows;
+            let rows = start..leaf_rows.min(start + len);
+            let norm = 1.0 + seed;
+            let leaf = LeafQuery { norm, abs_ip, q_cos, q_sin: (norm * norm + 9.0 - q_cos * q_cos).sqrt() };
+            let probe = &aux[rows.start + (rows.len() - 1) * lambda_pick / 5];
+            let lambda = match lambda_pick {
+                0 => Scalar::INFINITY,
+                1 => -1.0,
+                2 => point_ball_bound(leaf.abs_ip, leaf.norm, probe.radius),
+                3 => point_cone_bound(leaf.q_cos, leaf.q_sin, probe.x_cos, probe.x_sin),
+                _ => seed * 4.0,
+            };
+            for variant in [
+                BcTreeVariant::Full,
+                BcTreeVariant::WithoutCone,
+                BcTreeVariant::WithoutBall,
+                BcTreeVariant::WithoutBoth,
+            ] {
+                let rules = BcTreeRules { center_norms: &[], aux: &aux, variant };
+                let (mut got_stats, mut want_stats) = (SearchStats::default(), SearchStats::default());
+                let got = rules.select(&leaf, rows.clone(), leaf_rows, lambda, &mut got_stats);
+                let want = select_row_by_row(
+                    &rules,
+                    &leaf,
+                    rows.clone(),
+                    leaf_rows,
+                    lambda,
+                    &mut want_stats,
+                );
+                proptest::prop_assert!(
+                    got == want && got_stats == want_stats,
+                    "{:?}, rows {:?}, λ {}: {:?} {:?} != {:?} {:?}",
+                    variant, rows, lambda, got, got_stats, want, want_stats
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,15 +12,23 @@
 //! * `simd-blk`    — dispatched `kernels::abs_dot_block` over the whole strip (the
 //!   kernel behind every blocked leaf scan).
 //!
-//! Usage: `kernel_bench [--rows N] [--iters N]` — `--rows` is the strip (leaf) size,
-//! default 100 (the paper's reference `N0`); `--iters` scales the measurement loop.
-//! Results are recorded in `EXPERIMENTS.md`.
+//! A second table times what the tree traversals call per leaf strip, in ns per
+//! (row · query): `kernels::abs_dot_tile` over a run of 64-row strips for groups of 1, 4
+//! and 8 queries — every row selected, and every other row (the scattered survivors of
+//! point-level pruning) — beside the strip-major `abs_dot_block` calls it replaced, and
+//! `kernels::mask_gt` in ns per value. With `--stream-mb N` the same table is printed once
+//! more over `N` MB of rows per pass: pick `N` beyond the last-level cache and the rows
+//! come from DRAM, which is where the tile kernel's row prefetch earns its keep.
+//!
+//! Usage: `kernel_bench [--rows N] [--iters N] [--stream-mb N]` — `--rows` is the strip
+//! (leaf) size, default 100 (the paper's reference `N0`); `--iters` scales the
+//! measurement loop. Results are recorded in `EXPERIMENTS.md`.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use p2h_core::kernels;
-use p2h_core::Scalar;
+use p2h_core::{GroupCoeffs, Scalar, GROUP_WIDTH, LEAF_STRIP};
 
 /// Deterministic pseudo-random data; no RNG dependency needed for a microbench.
 fn filled(len: usize, seed: u64) -> Vec<Scalar> {
@@ -54,6 +62,7 @@ fn measure(rows: usize, iters: usize, mut body: impl FnMut() -> Scalar) -> f64 {
 fn main() {
     let mut rows = 100usize;
     let mut iters = 2_000usize;
+    let mut stream_mb = 0usize;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -66,7 +75,13 @@ fn main() {
                 i += 1;
                 iters = args[i].parse().expect("--iters expects an integer");
             }
-            other => panic!("unknown flag `{other}` (usage: kernel_bench [--rows N] [--iters N])"),
+            "--stream-mb" => {
+                i += 1;
+                stream_mb = args[i].parse().expect("--stream-mb expects an integer");
+            }
+            other => panic!(
+                "unknown flag `{other}` (usage: kernel_bench [--rows N] [--iters N] [--stream-mb N])"
+            ),
         }
         i += 1;
     }
@@ -122,4 +137,70 @@ fn main() {
         "\nblk vs scalar/pt = per-point scalar abs_dot time over blocked dispatched time:\n\
          the speedup a blocked leaf scan gets over the seed's per-point scalar loop."
     );
+
+    tile_table((iters / 64).max(5), |_| TILE_STRIPS);
+    if stream_mb > 0 {
+        println!("\n{stream_mb} MB of rows per pass:");
+        let strip_bytes = |dim| dim * LEAF_STRIP * std::mem::size_of::<Scalar>();
+        tile_table(1, |dim| (stream_mb << 20) / strip_bytes(dim));
+    }
+
+    let values = filled(LEAF_STRIP, 99);
+    let per_value = measure(LEAF_STRIP, iters * 50, || {
+        kernels::mask_gt(black_box(&values), black_box(0.25)).count_ones() as Scalar
+    });
+    println!("\nmask_gt over {LEAF_STRIP} values: {per_value:.3} ns/value");
+}
+
+/// Strips streamed per pass of the tile table: with 129-d rows ~2 MB, so the rows come
+/// from L2/L3 as they do in a traversal, not from L1.
+const TILE_STRIPS: usize = 64;
+
+/// ns per (row · query) of the leaf-tile kernel against the strip-major blocked calls,
+/// over `strips_for(dim)` strips per pass.
+fn tile_table(iters: usize, strips_for: impl Fn(usize) -> usize) {
+    println!("\n| dim | queries | blk/strip (ns) | tile dense (ns) | tile half (ns) |");
+    println!("|---|---|---|---|---|");
+    let every_other = 0x5555_5555_5555_5555u64;
+    for dim in [65usize, 129] {
+        let tile_strips = strips_for(dim);
+        let data = filled(dim * LEAF_STRIP * tile_strips, dim as u64);
+        let strips = || data.chunks_exact(dim * LEAF_STRIP);
+        let group: Vec<Vec<Scalar>> = (0..GROUP_WIDTH).map(|m| filled(dim, m as u64 + 1)).collect();
+        let mut tile = [[0.0 as Scalar; LEAF_STRIP]; GROUP_WIDTH];
+        for width in [1usize, 4, 8] {
+            // As the traversal hands them over: cache-line-aligned copies.
+            let mut staged = GroupCoeffs::default();
+            staged.stage(dim, group[..width].iter().map(Vec::as_slice));
+            let queries: Vec<&[Scalar]> = (0..width).map(|m| staged.member(m)).collect();
+            let pairs = LEAF_STRIP * tile_strips * width;
+            let blocked = measure(pairs, iters, || {
+                let mut acc = 0.0;
+                for rows in strips() {
+                    for (query, out) in queries.iter().zip(&mut tile) {
+                        kernels::abs_dot_block(black_box(query), rows, dim, out);
+                        acc += out[7];
+                    }
+                }
+                acc
+            });
+            let mut tiled = |mask: u64| {
+                measure(pairs * mask.count_ones() as usize / LEAF_STRIP, iters, || {
+                    let mut acc = 0.0;
+                    for strip in 0..tile_strips {
+                        // As the traversal hands them over: the rest of the leaf too
+                        // (here one more strip), for the kernel to prefetch from.
+                        let from = strip * dim * LEAF_STRIP;
+                        let rows = &data[from..data.len().min(from + 2 * dim * LEAF_STRIP)];
+                        let out = &mut tile[..width];
+                        kernels::abs_dot_tile(black_box(&queries), rows, dim, mask, out);
+                        acc += out[width - 1][6];
+                    }
+                    acc
+                })
+            };
+            let (dense, half) = (tiled(u64::MAX), tiled(every_other));
+            println!("| {dim} | {width} | {blocked:.2} | {dense:.2} | {half:.2} |");
+        }
+    }
 }

@@ -14,6 +14,10 @@
 //! one query against a contiguous strip of row-major points, processed four rows at a
 //! time with shared query loads and independent accumulators. Leaf verification through
 //! the blocked kernels is a small matvec instead of `leaf_size` independent calls.
+//! The tree traversals go one step further and treat a leaf strip as a **tile**
+//! ([`abs_dot_tile`]): the rows a bitmask selects against the few queries of a group
+//! that selected them, one row load feeding four queries' accumulators; [`mask_gt`]
+//! turns a strip of bounds or distances into such a bitmask.
 //!
 //! # Consistency guarantees
 //!
@@ -23,8 +27,8 @@
 //! 1. **Within a backend, blocked ≡ single.** `dot_block` produces bit-identical per-row
 //!    results to `dot` (the blocked kernels keep the same per-row accumulator scheme,
 //!    reduction order, and tail handling — they only interleave column loads across
-//!    rows). Search paths may therefore mix blocked strips with single-point
-//!    verification freely.
+//!    rows), and so does `abs_dot_tile` per (query, row) pair. Search paths may
+//!    therefore mix tiles, blocked strips and single-point verification freely.
 //! 2. **One backend per answer.** `LinearScan` (the ground-truth oracle) and the tree
 //!    indexes all call through this dispatcher, so within a process they share one
 //!    summation order and the `assert_eq!`-style exact-match tests remain valid. This is
@@ -46,7 +50,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Once, OnceLock};
 
-use crate::Scalar;
+use crate::{Scalar, LEAF_STRIP};
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -229,6 +233,85 @@ pub fn abs_dot_block(query: &[Scalar], rows: &[Scalar], dim: usize, out: &mut [S
     }
 }
 
+/// Clears the lowest set bit of a strip mask (which must not be 0) and returns its
+/// position: masks are walked in ascending row order, here and by every caller.
+#[inline(always)]
+pub fn pop_row(mask: &mut u64) -> usize {
+    let row = mask.trailing_zeros() as usize;
+    *mask &= *mask - 1;
+    row
+}
+
+/// Distances of the selected rows of one leaf strip to each of a few queries:
+/// `out[i][r] = |⟨queries[i], rows[r·dim .. (r+1)·dim]⟩|` for every set bit `r` of
+/// `mask`; the other entries of `out` are left as they were.
+///
+/// Every stored distance is bit-identical to [`abs_dot`] on the same pair (see the
+/// module docs), however many queries share the call and whichever rows are selected.
+/// `rows` may go on past the strip (the rest of a leaf): those rows are not read, but
+/// a backend may prefetch into them while it multiplies the last rows of the strip.
+///
+/// # Panics
+///
+/// Panics if `out.len() != queries.len()`, a query does not have `dim` scalars, or
+/// `mask` selects a row that `rows` does not hold in full (hard preconditions, as for
+/// [`dot`]).
+#[inline]
+pub fn abs_dot_tile(
+    queries: &[&[Scalar]],
+    rows: &[Scalar],
+    dim: usize,
+    mask: u64,
+    out: &mut [[Scalar; LEAF_STRIP]],
+) {
+    assert_eq!(out.len(), queries.len(), "abs_dot_tile: one output strip per query");
+    assert!(queries.iter().all(|q| q.len() == dim), "abs_dot_tile: query length must equal dim");
+    let addressed = (u64::BITS - mask.leading_zeros()) as usize;
+    assert!(
+        addressed.checked_mul(dim).is_some_and(|scalars| scalars <= rows.len()),
+        "abs_dot_tile: mask selects a row beyond the end of rows"
+    );
+    match active_backend() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the dispatcher returns Avx2Fma only after runtime feature detection,
+        // and the asserts above are the kernel's length and mask requirements.
+        KernelBackend::Avx2Fma => unsafe { avx2::abs_dot_tile(queries, rows, dim, mask, out) },
+        #[cfg(target_arch = "aarch64")]
+        KernelBackend::Neon => scalar::abs_dot_tile_by(
+            // SAFETY: NEON is a baseline feature of every aarch64 target, and the tile
+            // loop hands it a query and a row of `dim` scalars each.
+            |a, b| unsafe { neon::dot(a, b) },
+            queries,
+            rows,
+            dim,
+            mask,
+            out,
+        ),
+        _ => scalar::abs_dot_tile_by(scalar::dot, queries, rows, dim, mask, out),
+    }
+}
+
+/// The positions of a strip whose value exceeds `threshold`: bit `i` is set iff
+/// `values[i] > threshold`, which is false when either side is a NaN — the same strict
+/// comparison every prune in the workspace uses, a strip at a time.
+///
+/// # Panics
+///
+/// Panics if `values` holds more than 64 scalars.
+#[inline]
+pub fn mask_gt(values: &[Scalar], threshold: Scalar) -> u64 {
+    assert!(values.len() <= u64::BITS as usize, "mask_gt: more than 64 values");
+    match active_backend() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the dispatcher returns Avx2Fma only after runtime feature detection.
+        KernelBackend::Avx2Fma => unsafe { avx2::mask_gt(values, threshold) },
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: NEON is a baseline feature of every aarch64 target.
+        KernelBackend::Neon => unsafe { neon::mask_gt(values, threshold) },
+        _ => scalar::mask_gt(values, threshold),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,6 +345,63 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn dispatched_tile_matches_single_abs_dot_bitwise() {
+        // Every lane tail × every group width (so both the four-queries-per-row and the
+        // four-rows-per-query halves, and their row remainders) × the mask shapes a
+        // traversal produces, on a full strip and on a short last strip.
+        let masks = [u64::MAX, 0x5a5a_1234_8001_f00f, 1 << 37, (1 << 23) - 1, 0b111, 0];
+        for dim in [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 24, 31, 32, 33, 63, 64, 65, 129] {
+            for rows in [LEAF_STRIP, 11] {
+                let (query, data) = vecs(dim, rows);
+                let members: Vec<Vec<Scalar>> = (0..8)
+                    .map(|m| query.iter().map(|c| c + m as Scalar * 0.21).collect())
+                    .collect();
+                for width in 1..=members.len() {
+                    let queries: Vec<&[Scalar]> =
+                        members[..width].iter().map(Vec::as_slice).collect();
+                    for mask in masks.map(|mask| mask & (u64::MAX >> (LEAF_STRIP - rows))) {
+                        let mut tile = vec![[-1.0; LEAF_STRIP]; width];
+                        abs_dot_tile(&queries, &data, dim, mask, &mut tile);
+                        for (m, strip) in tile.iter().enumerate() {
+                            for (r, &got) in strip.iter().enumerate() {
+                                let want = match mask >> r & 1 {
+                                    1 => abs_dot(queries[m], &data[r * dim..(r + 1) * dim]),
+                                    _ => -1.0,
+                                };
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "dim {dim}, rows {rows}, width {width}, mask {mask:#x}: \
+                                     member {m}, row {r}: {got} != {want}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "mask selects a row beyond")]
+    fn tile_rejects_a_mask_beyond_the_rows() {
+        let (query, data) = vecs(5, 3);
+        abs_dot_tile(&[&query], &data, 5, 0b1000, &mut [[0.0; LEAF_STRIP]]);
+    }
+
+    #[test]
+    fn mask_gt_is_the_strict_comparison() {
+        let values = [1.0, 2.0, 2.0, 3.0, Scalar::NAN, Scalar::INFINITY, -0.0, 0.0, 2.5];
+        assert_eq!(mask_gt(&values, 2.0), 0b1_0010_1000);
+        assert_eq!(mask_gt(&values, Scalar::INFINITY), 0);
+        assert_eq!(mask_gt(&values, Scalar::NAN), 0);
+        assert_eq!(mask_gt(&values, Scalar::NEG_INFINITY), 0b1_1110_1111);
+        assert_eq!(mask_gt(&values, 0.0), 0b1_0010_1111);
+        assert_eq!(mask_gt(&[], 0.0), 0);
+        assert_eq!(mask_gt(&[1.0; 64], 0.5), u64::MAX);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 #![allow(unsafe_code)]
 
 use std::arch::aarch64::{
-    float32x4_t, vaddq_f32, vaddvq_f32, vdupq_n_f32, vfmaq_f32, vld1q_f32, vsubq_f32,
+    float32x4_t, vaddq_f32, vaddvq_f32, vaddvq_u32, vandq_u32, vcgtq_f32, vdupq_n_f32, vfmaq_f32,
+    vld1q_f32, vld1q_u32, vsubq_f32,
 };
 
 use super::scalar::{tail_dot, tail_euclidean_sq, BLOCK_ROWS};
@@ -173,4 +174,29 @@ unsafe fn dot_block4(query: &[Scalar], rows: &[Scalar], dim: usize, r: usize, ou
         reduce(a20, a21) + tail_dot(query, &rows[base + 2 * dim..base + 3 * dim], tail_from);
     out[r + 3] =
         reduce(a30, a31) + tail_dot(query, &rows[base + 3 * dim..base + 4 * dim], tail_from);
+}
+
+/// Bit `i` of the result is set iff `values[i] > threshold` (false for a NaN on either
+/// side): four compares per step, each lane's all-ones result reduced to its bit weight.
+///
+/// # Safety
+///
+/// Only callable on `aarch64`; `values.len() <= 64`.
+pub unsafe fn mask_gt(values: &[Scalar], threshold: Scalar) -> u64 {
+    debug_assert!(values.len() <= u64::BITS as usize, "mask_gt: more than 64 values");
+    const WEIGHTS: [u32; LANES] = [1, 2, 4, 8];
+    let weights = vld1q_u32(WEIGHTS.as_ptr());
+    let limit = vdupq_n_f32(threshold);
+    let main = values.len() - values.len() % LANES;
+    let mut mask = 0u64;
+    let mut j = 0;
+    while j < main {
+        let above = vcgtq_f32(vld1q_f32(values.as_ptr().add(j)), limit);
+        mask |= u64::from(vaddvq_u32(vandq_u32(above, weights))) << j;
+        j += LANES;
+    }
+    for (i, &value) in values.iter().enumerate().skip(main) {
+        mask |= u64::from(value > threshold) << i;
+    }
+    mask
 }

@@ -7,7 +7,8 @@
 //! [`dot`]: the blocked kernel keeps the same four partial sums per row and the same
 //! tail, it merely interleaves the columns of several rows to amortize query loads.
 
-use crate::Scalar;
+use super::pop_row;
+use crate::{Scalar, LEAF_STRIP};
 
 /// Number of independent partial sums in the unrolled main loops.
 const UNROLL: usize = 4;
@@ -144,4 +145,33 @@ pub fn dot_block(query: &[Scalar], rows: &[Scalar], dim: usize, out: &mut [Scala
         out[r] = dot(query, &rows[r * dim..(r + 1) * dim]);
         r += 1;
     }
+}
+
+/// The selected rows of a strip against a few queries, one `dot` per pair:
+/// `out[i][r] = |dot(queries[i], row r)|` for every set bit `r` of `mask`. This is the
+/// whole scalar tile kernel (with [`dot`]) and the portable shape a SIMD backend without
+/// a register-blocked tile falls back to (with its own single-row kernel), bit-identical
+/// to that kernel by construction.
+pub(crate) fn abs_dot_tile_by(
+    dot: impl Fn(&[Scalar], &[Scalar]) -> Scalar,
+    queries: &[&[Scalar]],
+    rows: &[Scalar],
+    dim: usize,
+    mask: u64,
+    out: &mut [[Scalar; LEAF_STRIP]],
+) {
+    for (query, out) in queries.iter().zip(out) {
+        let mut bits = mask;
+        while bits != 0 {
+            let r = pop_row(&mut bits);
+            out[r] = dot(query, &rows[r * dim..(r + 1) * dim]).abs();
+        }
+    }
+}
+
+/// Bit `i` of the result is set iff `values[i] > threshold` (false for a NaN on either
+/// side): the definition every backend's `mask_gt` must reproduce.
+pub fn mask_gt(values: &[Scalar], threshold: Scalar) -> u64 {
+    debug_assert!(values.len() <= u64::BITS as usize, "mask_gt: more than 64 values");
+    values.iter().enumerate().fold(0, |mask, (i, &value)| mask | u64::from(value > threshold) << i)
 }

@@ -25,8 +25,9 @@
 //! ## Kernel dispatch
 //!
 //! The dense kernels ([`kernels::dot`], [`kernels::abs_dot`], [`kernels::norm_sq`],
-//! [`kernels::euclidean_sq`], and the blocked [`kernels::dot_block`] /
-//! [`kernels::abs_dot_block`]) select an implementation **once per process, at
+//! [`kernels::euclidean_sq`], the blocked [`kernels::dot_block`] /
+//! [`kernels::abs_dot_block`], and the leaf-tile pair [`kernels::abs_dot_tile`] /
+//! [`kernels::mask_gt`]) select an implementation **once per process, at
 //! runtime**:
 //!
 //! * on `x86_64`, AVX2+FMA when `is_x86_feature_detected!` reports both features;
@@ -74,7 +75,7 @@ pub use kernels::KernelBackend;
 pub use linear_scan::LinearScan;
 pub use point_set::PointSet;
 pub use query::HyperplaneQuery;
-pub use scratch::{QueryScratch, TraversalFrame, GROUP_WIDTH, LEAF_STRIP};
+pub use scratch::{GroupCoeffs, QueryScratch, TraversalFrame, GROUP_WIDTH, LEAF_STRIP};
 pub use topk::{merge_topk, Neighbor, TopKCollector};
 
 /// The floating point type used for data points and queries throughout the workspace.

@@ -65,7 +65,7 @@ impl P2hIndex for LinearScan {
         );
         let start = Instant::now();
         scratch.reset(params.k);
-        let QueryScratch { collector, strip, .. } = scratch;
+        let QueryScratch { collector, tile: [strip, ..], .. } = scratch;
         let dim = self.points.dim();
         let q = query.coeffs();
         let limit = params.candidate_limit.unwrap_or(usize::MAX).min(self.points.len());

@@ -2,11 +2,12 @@
 
 use crate::{Neighbor, Scalar, TopKCollector};
 
-/// Number of rows a blocked leaf scan processes per strip. Chosen to keep the strip and
-/// survivor buffers comfortably inside one cache line's worth of bookkeeping while still
-/// amortizing query loads across many rows; leaves larger than this are simply scanned
-/// in several strips.
+/// Number of rows a leaf scan processes per strip: one machine word, so the rows a
+/// member still has to verify are a `u64` bitmask ([`crate::kernels::mask_gt`],
+/// [`crate::kernels::abs_dot_tile`]). Leaves larger than this are simply scanned in
+/// several strips.
 pub const LEAF_STRIP: usize = 64;
+const _: () = assert!(LEAF_STRIP == u64::BITS as usize);
 
 /// Most queries that share one tree traversal (see
 /// [`crate::P2hIndex::search_group_with_scratch`]). Eight members keep a stack frame
@@ -28,14 +29,60 @@ pub struct TraversalFrame<const W: usize> {
     pub ips: [Scalar; W],
 }
 
+/// Bytes per cache line on every target the kernels have a SIMD backend for.
+const CACHE_LINE: usize = 64;
+/// Scalars per cache line.
+const LINE: usize = CACHE_LINE / std::mem::size_of::<Scalar>();
+
+/// The coefficient vectors of a group's members, copied once per group search so that
+/// each starts on a cache-line boundary: the tile kernel streams up to [`GROUP_WIDTH`]
+/// of them against every row, and a 32-byte load that straddles two lines costs two.
+#[derive(Debug, Clone, Default)]
+pub struct GroupCoeffs {
+    buf: Vec<Scalar>,
+    /// Position in `buf` of the first cache-line boundary.
+    origin: usize,
+    /// Distance between two members' coefficients (`dim` rounded up to whole lines).
+    stride: usize,
+    dim: usize,
+}
+
+impl GroupCoeffs {
+    /// Copies the members' coefficient vectors (`dim` scalars each) in, keeping the
+    /// allocation of earlier groups when it is large enough.
+    ///
+    /// # Panics
+    ///
+    /// If a member does not have `dim` coefficients.
+    pub fn stage<'q>(&mut self, dim: usize, members: impl ExactSizeIterator<Item = &'q [Scalar]>) {
+        self.dim = dim;
+        self.stride = dim.next_multiple_of(LINE);
+        self.buf.resize(members.len() * self.stride + LINE, 0.0);
+        // `align_offset` counts in scalars and may decline (`usize::MAX`); the alignment
+        // is a speed-up only, so any in-bounds origin is correct.
+        self.origin = self.buf.as_ptr().align_offset(CACHE_LINE).min(LINE);
+        for (m, coeffs) in members.enumerate() {
+            let start = self.origin + m * self.stride;
+            self.buf[start..start + dim].copy_from_slice(coeffs);
+        }
+    }
+
+    /// The staged coefficients of member `m`.
+    #[inline]
+    pub fn member(&self, m: usize) -> &[Scalar] {
+        let start = self.origin + m * self.stride;
+        &self.buf[start..start + self.dim]
+    }
+}
+
 /// Scratch space threaded through a search so the steady-state query path performs no
 /// heap allocation.
 ///
 /// A `QueryScratch` owns everything a tree search needs to allocate otherwise: the
 /// [`TopKCollector`]'s heap storage, the explicit traversal stack that replaces
-/// recursion, the distance strip the blocked kernels write into, and the survivor index
-/// buffer the BC-Tree's point-level pruning uses, plus one collector per member and a
-/// wider stack for group searches. Create one per worker thread and pass
+/// recursion and the distance tile the leaf kernels write into, plus one collector per
+/// member, a wider stack and the staged coefficients for group searches. Create one per
+/// worker thread and pass
 /// it to [`crate::P2hIndex::search_with_scratch`] for every query; the buffers are
 /// reset (not freed) between queries, so after the first few queries warm the collector
 /// heap and the stack, thousands of subsequent queries allocate nothing beyond the
@@ -46,14 +93,16 @@ pub struct QueryScratch {
     pub collector: TopKCollector,
     /// Explicit traversal stack of a single-query search, replacing recursion.
     pub stack: Vec<TraversalFrame<1>>,
-    /// Distances of the current strip of leaf rows, written by the blocked kernels.
-    pub strip: [Scalar; LEAF_STRIP],
-    /// Reordered positions within the current strip that survived point-level pruning.
-    pub keep: [u32; LEAF_STRIP],
+    /// Distances of the current strip of leaf rows, one row of the tile per query the
+    /// kernel call serves ([`crate::kernels::abs_dot_tile`]); a scan of one query uses
+    /// the first.
+    pub tile: [[Scalar; LEAF_STRIP]; GROUP_WIDTH],
     /// One top-k heap per member of a group search; empty until the first one.
     pub group_collectors: Vec<TopKCollector>,
     /// Explicit traversal stack of a group search; empty until the first one.
     pub group_stack: Vec<TraversalFrame<GROUP_WIDTH>>,
+    /// Cache-line-aligned copies of a group's coefficients; empty until the first one.
+    pub group_coeffs: GroupCoeffs,
 }
 
 impl QueryScratch {
@@ -63,10 +112,10 @@ impl QueryScratch {
         Self {
             collector: TopKCollector::new(1),
             stack: Vec::with_capacity(64),
-            strip: [0.0; LEAF_STRIP],
-            keep: [0; LEAF_STRIP],
+            tile: [[0.0; LEAF_STRIP]; GROUP_WIDTH],
             group_collectors: Vec::new(),
             group_stack: Vec::new(),
+            group_coeffs: GroupCoeffs::default(),
         }
     }
 
@@ -153,7 +202,24 @@ mod tests {
     fn default_matches_new() {
         let a = QueryScratch::default();
         assert_eq!(a.collector.k(), 1);
-        assert_eq!(a.strip.len(), LEAF_STRIP);
-        assert_eq!(a.keep.len(), LEAF_STRIP);
+        assert_eq!(a.tile.len(), GROUP_WIDTH);
+    }
+
+    #[test]
+    fn staged_coefficients_are_copies_on_cache_line_boundaries() {
+        let mut coeffs = GroupCoeffs::default();
+        for dim in [1, 16, 17, 65, 129] {
+            let members: Vec<Vec<Scalar>> =
+                (0..5).map(|m| (0..dim).map(|j| (m * 1000 + j) as Scalar).collect()).collect();
+            coeffs.stage(dim, members.iter().map(Vec::as_slice));
+            for (m, member) in members.iter().enumerate() {
+                assert_eq!(coeffs.member(m), &member[..], "dim {dim}, member {m}");
+                assert_eq!(
+                    coeffs.member(m).as_ptr() as usize % CACHE_LINE,
+                    0,
+                    "dim {dim}, member {m}"
+                );
+            }
+        }
     }
 }

@@ -7,7 +7,31 @@
 //! toggle for the same reason.)
 
 use p2h_core::kernels::{self, scalar};
-use p2h_core::{KernelBackend, Scalar};
+use p2h_core::{KernelBackend, Scalar, LEAF_STRIP};
+
+/// The tile kernel and `mask_gt` under whichever backend is active: bit-identical to
+/// that backend's `abs_dot`, and to the strict `>` definition.
+fn check_tile_and_mask(query: &[Scalar], data: &[Scalar], dim: usize) {
+    let rows = data.len() / dim;
+    let queries = [query, &data[..dim], query];
+    let mask = 0b1011;
+    let mut tile = [[-1.0 as Scalar; LEAF_STRIP]; 3];
+    kernels::abs_dot_tile(&queries, data, dim, mask, &mut tile);
+    for (m, q) in queries.iter().enumerate() {
+        for r in 0..rows {
+            let expected = if mask >> r & 1 == 1 {
+                kernels::abs_dot(&data[r * dim..(r + 1) * dim], q)
+            } else {
+                -1.0
+            };
+            assert_eq!(tile[m][r].to_bits(), expected.to_bits(), "member {m}, row {r}");
+        }
+    }
+    assert_eq!(
+        kernels::mask_gt(&tile[0][..rows], tile[0][1]),
+        scalar::mask_gt(&tile[0][..rows], tile[0][1])
+    );
+}
 
 #[test]
 fn force_scalar_switches_the_active_backend_and_back() {
@@ -27,6 +51,7 @@ fn force_scalar_switches_the_active_backend_and_back() {
             "forced-scalar dispatch must route through the scalar kernels"
         );
     }
+    check_tile_and_mask(&query, &data, dim);
 
     // Un-forcing restores hardware dispatch (and overrides any P2H_FORCE_SCALAR env
     // setting, which is why this asserts against detected_backend, not a constant).
@@ -37,4 +62,5 @@ fn force_scalar_switches_the_active_backend_and_back() {
         let single = kernels::dot(&query, &data[r * dim..(r + 1) * dim]);
         assert_eq!(out[r].to_bits(), single.to_bits());
     }
+    check_tile_and_mask(&query, &data, dim);
 }

@@ -1,11 +1,13 @@
 //! Property tests for the kernel layer: every dispatched (possibly SIMD) kernel must
 //! match the scalar reference within `1e-3` relative tolerance, across dimensions that
 //! exercise every lane-count tail (scalar unroll 4, NEON stride 8, AVX2 stride 16 plus
-//! the single extra 8-lane chunk), and the blocked kernels must be bit-identical per
-//! row to their single-vector counterparts.
+//! the single extra 8-lane chunk), and the blocked and tile kernels must be bit-identical
+//! per (query, row) pair to their single-vector counterparts. CI runs this file under
+//! hardware dispatch and under `P2H_FORCE_SCALAR=1`, so every property holds on both
+//! dispatch arms.
 
 use p2h_core::kernels::{self, scalar};
-use p2h_core::Scalar;
+use p2h_core::{Scalar, GROUP_WIDTH, LEAF_STRIP};
 use proptest::prelude::*;
 
 /// Relative-tolerance check: SIMD reassociation and FMA contraction may move the last
@@ -21,7 +23,83 @@ fn dims() -> impl Strategy<Value = usize> {
     (0usize..48).prop_map(|i| if i < 36 { i + 1 } else { 16 * (i - 35) + (i % 9) })
 }
 
+/// The masks a traversal produces: every row, scattered survivors, a ball-cut prefix, a
+/// lone survivor, nothing — cut to a strip of `rows` rows.
+fn tile_mask(shape: usize, bits: u64, rows: usize) -> u64 {
+    let held = if rows == LEAF_STRIP { u64::MAX } else { (1 << rows) - 1 };
+    held & match shape {
+        0 => u64::MAX,
+        1 => bits,
+        2 => bits & bits.rotate_left(17) & bits.rotate_left(41),
+        3 => (1 << (bits % rows as u64)) - 1,
+        4 => 1 << (bits % rows as u64),
+        _ => 0,
+    }
+}
+
 proptest! {
+    #[test]
+    fn tile_is_bit_identical_to_single_abs_dot(
+        dim in dims(),
+        width in 1usize..GROUP_WIDTH + 1,
+        rows in 1usize..LEAF_STRIP + 1,
+        shape in 0usize..6,
+        bits in 0u64..u64::MAX,
+        seed in -3.0f32..3.0,
+    ) {
+        // Short strips (the last strip of a leaf) as often as full ones.
+        let rows = if bits & 1 == 0 { LEAF_STRIP } else { rows };
+        let mask = tile_mask(shape, bits, rows);
+        let queries: Vec<Vec<Scalar>> = (0..width)
+            .map(|m| (0..dim).map(|j| seed + ((j + 31 * m) as Scalar * 0.61).sin() * 2.0).collect())
+            .collect();
+        let queries: Vec<&[Scalar]> = queries.iter().map(Vec::as_slice).collect();
+        // The traversal hands over the rest of the leaf: rows past the strip, never read.
+        let held = rows + (bits >> 7) as usize % 40;
+        let data: Vec<Scalar> =
+            (0..dim * held).map(|j| (j as Scalar * 0.17).cos() * 2.0 - seed).collect();
+        let untouched = Scalar::from_bits(0x7fc0_1234);
+        let mut tile = vec![[untouched; LEAF_STRIP]; width];
+        kernels::abs_dot_tile(&queries, &data, dim, mask, &mut tile);
+        for (m, query) in queries.iter().enumerate() {
+            for r in 0..LEAF_STRIP {
+                let expected = if mask >> r & 1 == 1 {
+                    kernels::abs_dot(&data[r * dim..(r + 1) * dim], query)
+                } else {
+                    untouched
+                };
+                prop_assert!(tile[m][r].to_bits() == expected.to_bits(),
+                    "dim {}, width {}, rows {}, mask {:#x}: member {} row {}: {} vs {}",
+                    dim, width, rows, mask, m, r, tile[m][r], expected);
+            }
+        }
+    }
+
+    #[test]
+    fn mask_gt_matches_the_scalar_definition(
+        len in 0usize..65,
+        threshold_pick in 0usize..6,
+        seed in -2.0f32..2.0,
+        special in 0u64..u64::MAX,
+    ) {
+        let specials = [Scalar::INFINITY, Scalar::NEG_INFINITY, Scalar::NAN, 0.0, -0.0, seed];
+        let values: Vec<Scalar> = (0..len)
+            .map(|i| match (special >> (i % 60)) & 7 {
+                // Specials, and plenty of values exactly equal to the threshold.
+                0 => specials[i % specials.len()],
+                1 | 2 => seed,
+                _ => seed + (i as Scalar * 0.83).sin(),
+            })
+            .collect();
+        let threshold = specials[threshold_pick];
+        let mut expected = 0u64;
+        for (i, &value) in values.iter().enumerate() {
+            expected |= u64::from(value > threshold) << i;
+        }
+        prop_assert_eq!(kernels::mask_gt(&values, threshold), expected);
+        prop_assert_eq!(scalar::mask_gt(&values, threshold), expected);
+    }
+
     #[test]
     fn dispatched_dot_matches_scalar_reference(
         dim in dims(),

@@ -2,7 +2,9 @@
 //! a `ShardedIndex` through the scratch-reusing batch executor must allocate, per
 //! query, only the per-shard top-k lists and the merged result vector — `shards + 1`
 //! small vectors — with everything else (collector heap, traversal stack, strips)
-//! living in the per-worker `QueryScratch`.
+//! living in the per-worker `QueryScratch`. The shard server's grouped frame
+//! (`search_shard_group`) is held to the same discipline: one neighbor list per query
+//! and a handful of vectors per frame.
 //!
 //! This file is its own test binary with a single `#[test]` so the counting global
 //! allocator observes only this test's traffic.
@@ -10,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use p2h_core::SearchParams;
+use p2h_core::{QueryScratch, SearchParams};
 use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
 use p2h_engine::{BatchExecutor, BatchRequest, Partitioner, ShardIndexKind, ShardedIndexBuilder};
 
@@ -88,4 +90,29 @@ fn steady_state_sharded_execution_allocates_only_result_lists() {
     );
     // Sanity: the counter is wired up (at minimum every query allocated its lists).
     assert!(during >= n, "counting allocator should observe the result vectors");
+
+    // One shard answering frames of eight exact queries as a group, as a shard server
+    // does: each query's neighbor list, plus per frame the sliced parameters, the run
+    // buffer and the answer vector — nothing per row, per strip or per group member.
+    const FRAME: usize = 8;
+    let params = SearchParams::exact(k);
+    let frame_params = [&params; FRAME];
+    let mut scratch = QueryScratch::new();
+    let mut serve_frames = || {
+        for frame in request.queries.chunks(FRAME) {
+            let answers = sharded.search_shard_group(0, frame, &frame_params, &mut scratch);
+            assert!(answers.iter().all(|a| a.as_ref().is_some_and(|r| r.neighbors.len() == k)));
+        }
+    };
+    serve_frames(); // warm-up: group collectors, group stack, staged coefficients
+    let before = allocations();
+    serve_frames();
+    let during = allocations() - before;
+    let per_frame_budget = 4;
+    let frames = n / FRAME as u64;
+    assert!(
+        during <= n + frames * per_frame_budget,
+        "expected ≤ 1 allocation per query plus {per_frame_budget} per frame, observed \
+         {during} allocations for {n} queries in {frames} frames"
+    );
 }

@@ -628,17 +628,17 @@ fn serve_batch(shared: &Shared, index: &str, items: Vec<Pending>) {
     for (position, pending) in accepted.iter().enumerate() {
         request.overrides.push((position, pending.query.params.clone()));
     }
+    // Queue wait ends where service begins: stamped before the engine call.
+    let dispatched = Instant::now();
     match engine.serve_front(index, &request) {
         Ok((response, path)) => {
             shared.metrics.batches.inc();
             shared.metrics.batch_size.record(accepted.len() as u64);
             shared.metrics.dispatch_for(path).inc();
-            let now = Instant::now();
             for (pending, result) in accepted.into_iter().zip(response.results) {
-                shared
-                    .metrics
-                    .queue_wait_ns
-                    .record(now.saturating_duration_since(pending.enqueued).as_nanos() as u64);
+                shared.metrics.queue_wait_ns.record(
+                    dispatched.saturating_duration_since(pending.enqueued).as_nanos() as u64,
+                );
                 shared.loops[pending.loop_id].deliver(
                     pending.conn_id,
                     Message::FrontReply { id: pending.request_id, result },

@@ -125,7 +125,7 @@ fn search_layered(
     // identical tie-breaks to a rebuilt linear scan — see the module docs).
     let verify_start = Instant::now();
     scratch.reset(k);
-    let QueryScratch { collector, strip, .. } = scratch;
+    let QueryScratch { collector, tile: [strip, ..], .. } = scratch;
     let dim = state.dim;
     let q = query.coeffs();
     let mut computed = 0u64;

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use p2h_core::{P2hIndex, QueryScratch};
+use p2h_core::{HyperplaneQuery, P2hIndex, QueryScratch, SearchParams, SearchResult};
 use p2h_obs::fault;
 use p2h_obs::FaultKind;
 use p2h_shard::ShardedIndex;
@@ -26,7 +26,7 @@ use p2h_store::Store;
 
 use crate::error::{ErrorCode, NetError, NetResult};
 use crate::metrics::net_metrics;
-use crate::wire::{read_frame, write_frame, Message, PROTOCOL_VERSION};
+use crate::wire::{read_frame, write_frame, Message, WireQuery, PROTOCOL_VERSION};
 
 /// A running shard server. Dropping the handle shuts the accept loop down.
 #[derive(Debug)]
@@ -215,20 +215,33 @@ fn handle_connection(mut stream: TcpStream, server: &ShardServer) {
     }
 }
 
+/// Answers one `ShardQuery` frame as a group, so its exact queries share one descent of
+/// the shard's tree.
 fn execute_shard_query(
     server: &ShardServer,
     shard: usize,
-    queries: &[crate::wire::WireQuery],
+    queries: &[WireQuery],
     scratch: &mut QueryScratch,
-) -> Result<Vec<Option<p2h_core::SearchResult>>, (ErrorCode, String)> {
+) -> Result<Vec<Option<SearchResult>>, (ErrorCode, String)> {
     if !server.serves(shard) {
         return Err((
             ErrorCode::UnknownShard,
             format!("shard {shard} is not served by this process"),
         ));
     }
-    let dim = server.index.dim();
-    let mut answers = Vec::with_capacity(queries.len());
+    answer_frame(server.index.dim(), queries, |decoded, params| {
+        server.index.search_shard_group(shard, decoded, params, scratch)
+    })
+}
+
+/// Decodes and checks the **whole** frame, then hands it to `search`: a bad query at any
+/// position is a `BadRequest` that has cost no search.
+fn answer_frame(
+    dim: usize,
+    queries: &[WireQuery],
+    search: impl FnOnce(&[HyperplaneQuery], &[&SearchParams]) -> Vec<Option<SearchResult>>,
+) -> Result<Vec<Option<SearchResult>>, (ErrorCode, String)> {
+    let mut decoded = Vec::with_capacity(queries.len());
     for (position, wq) in queries.iter().enumerate() {
         let query =
             wq.to_query().map_err(|e| (ErrorCode::BadRequest, format!("query {position}: {e}")))?;
@@ -238,12 +251,50 @@ fn execute_shard_query(
                 format!("query {position}: dimension {} != index dimension {dim}", query.dim()),
             ));
         }
-        answers.push(server.index.search_shard(shard, &query, &wq.params, scratch));
+        decoded.push(query);
     }
-    Ok(answers)
+    let params: Vec<&SearchParams> = queries.iter().map(|wq| &wq.params).collect();
+    Ok(search(&decoded, &params))
 }
 
 fn send_error(stream: &mut TcpStream, code: ErrorCode, message: &str) {
     let reply = Message::ErrorReply { code, message: message.to_string() };
     write_frame(stream, &reply, "server.send").ok();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn wire(coeffs: &[f32]) -> WireQuery {
+        let query = HyperplaneQuery::new(coeffs.to_vec()).expect("a valid query");
+        WireQuery::from_query(&query, &SearchParams::exact(3))
+    }
+
+    #[test]
+    fn a_bad_query_at_the_last_position_fails_the_frame_before_any_search() {
+        let good = || wire(&[1.0, 0.5, -0.25]);
+        let searches = std::cell::Cell::new(0);
+        let counting = |decoded: &[HyperplaneQuery], _: &[&SearchParams]| {
+            searches.set(searches.get() + 1);
+            vec![None; decoded.len()]
+        };
+
+        let answers = answer_frame(3, &[good(), good(), good()], counting).unwrap();
+        assert_eq!((answers.len(), searches.get()), (3, 1), "a valid frame is searched once");
+
+        let wrong_dim = [good(), good(), wire(&[1.0, 0.5])];
+        let (code, message) = answer_frame(3, &wrong_dim, counting).unwrap_err();
+        assert_eq!(code, ErrorCode::BadRequest);
+        assert_eq!(message, "query 2: dimension 2 != index dimension 3");
+
+        let mut undecodable = good();
+        undecodable.coeffs[0] = f32::NAN;
+        let (code, message) =
+            answer_frame(3, &[good(), good(), undecodable], counting).unwrap_err();
+        assert_eq!(code, ErrorCode::BadRequest);
+        assert!(message.starts_with("query 2: "), "{message}");
+
+        assert_eq!(searches.get(), 1, "neither bad frame reached the index");
+    }
 }

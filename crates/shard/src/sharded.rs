@@ -4,6 +4,7 @@ use std::time::Instant;
 
 use p2h_core::{
     HyperplaneQuery, P2hIndex, QueryScratch, SearchParams, SearchResult, SearchStats, VecBuf,
+    GROUP_WIDTH,
 };
 use p2h_store::LoadedIndex;
 
@@ -175,11 +176,71 @@ impl ShardedIndex {
         let shard_params = self.shard_params(s, params)?;
         let mut result =
             self.shards[s].as_index().search_with_scratch(query, &shard_params, scratch);
+        self.globalize(s, &mut result);
+        Some(result)
+    }
+
+    /// [`Self::search_shard`] for a whole frame: `queries[i]` under `params[i]`, in that
+    /// order, with the same neighbors each would get alone. Each maximal run (up to
+    /// [`GROUP_WIDTH`]) of consecutive queries whose shard parameters may share a
+    /// traversal ([`SearchParams::shares_traversal_with`]) is answered by one
+    /// [`P2hIndex::search_group_with_scratch`] call — a frame of exact queries descends
+    /// the shard's tree once — and their work counters are those of the shared order.
+    ///
+    /// # Panics
+    ///
+    /// If `queries` and `params` differ in length.
+    pub fn search_shard_group(
+        &self,
+        s: usize,
+        queries: &[HyperplaneQuery],
+        params: &[&SearchParams],
+        scratch: &mut QueryScratch,
+    ) -> Vec<Option<SearchResult>> {
+        assert_eq!(queries.len(), params.len(), "one SearchParams per query of the frame");
+        let sliced: Vec<Option<SearchParams>> =
+            params.iter().map(|params| self.shard_params(s, params)).collect();
+        let index = self.shards[s].as_index();
+        let mut answers = Vec::with_capacity(queries.len());
+        let mut run = Vec::with_capacity(GROUP_WIDTH);
+        let mut i = 0;
+        while i < queries.len() {
+            let Some(first) = &sliced[i] else {
+                answers.push(None);
+                i += 1;
+                continue;
+            };
+            let mut members = [first; GROUP_WIDTH];
+            let mut width = 1;
+            while width < GROUP_WIDTH {
+                match sliced.get(i + width) {
+                    Some(Some(next)) if first.shares_traversal_with(next) => members[width] = next,
+                    _ => break,
+                }
+                width += 1;
+            }
+            index.search_group_with_scratch(
+                &queries[i..i + width],
+                &members[..width],
+                scratch,
+                &mut run,
+            );
+            assert_eq!(run.len(), width, "a group search answers every member");
+            for mut result in run.drain(..) {
+                self.globalize(s, &mut result);
+                answers.push(Some(result));
+            }
+            i += width;
+        }
+        answers
+    }
+
+    /// Rewrites shard `s`'s local neighbor positions as global ids.
+    fn globalize(&self, s: usize, result: &mut SearchResult) {
         let ids = &self.id_maps[s];
         for neighbor in &mut result.neighbors {
             neighbor.index = ids[neighbor.index] as usize;
         }
-        Some(result)
     }
 
     /// Approximate memory of the id maps in bytes.
