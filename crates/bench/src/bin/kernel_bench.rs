@@ -20,6 +20,12 @@
 //! more over `N` MB of rows per pass: pick `N` beyond the last-level cache and the rows
 //! come from DRAM, which is where the tile kernel's row prefetch earns its keep.
 //!
+//! A last table times the checksum, in GB/s: `kernels::crc32` as dispatched (PCLMULQDQ
+//! folding where the AVX2 backend runs, else the portable arm) beside the portable
+//! slice-by-16 arm and the byte-at-a-time loop both replaced, from a 64-byte frame to a
+//! 64 MiB section (from memory unless the last-level cache is that large; a load's pass
+//! is slower still, because it takes the page faults of a fresh mapping).
+//!
 //! Usage: `kernel_bench [--rows N] [--iters N] [--stream-mb N]` — `--rows` is the strip
 //! (leaf) size, default 100 (the paper's reference `N0`); `--iters` scales the
 //! measurement loop. Results are recorded in `EXPERIMENTS.md`.
@@ -29,6 +35,10 @@ use std::time::Instant;
 
 use p2h_core::kernels;
 use p2h_core::{GroupCoeffs, Scalar, GROUP_WIDTH, LEAF_STRIP};
+
+/// The bytewise CRC-32 the kernel tests compare every arm with; timed here as the baseline.
+#[path = "../../../core/tests/common/mod.rs"]
+mod reference;
 
 /// Deterministic pseudo-random data; no RNG dependency needed for a microbench.
 fn filled(len: usize, seed: u64) -> Vec<Scalar> {
@@ -150,6 +160,28 @@ fn main() {
         kernels::mask_gt(black_box(&values), black_box(0.25)).count_ones() as Scalar
     });
     println!("\nmask_gt over {LEAF_STRIP} values: {per_value:.3} ns/value");
+
+    crc_table(iters);
+}
+
+/// GB/s of the three CRC-32 implementations over inputs of five sizes. Each measurement
+/// covers at least `iters` × 32 KiB (64 MiB at the default) and is the best of three, so
+/// every input a cache can hold is read from it.
+fn crc_table(iters: usize) {
+    println!("\n| crc32 input | bytewise (GB/s) | portable (GB/s) | dispatched (GB/s) |");
+    println!("|---|---|---|---|");
+    let bytes: Vec<u8> = filled(16 << 20, 5).iter().flat_map(|v| v.to_le_bytes()).collect();
+    for (label, len) in
+        [("64 B", 64), ("600 B", 600), ("4 KiB", 4 << 10), ("1 MiB", 1 << 20), ("64 MiB", 64 << 20)]
+    {
+        let input = &bytes[..len];
+        let passes = ((iters << 15) / len).max(1);
+        let gbps =
+            |crc: fn(&[u8]) -> u32| 1.0 / measure(len, passes, || crc(black_box(input)) as Scalar);
+        let (bytewise, portable, dispatched) =
+            (gbps(reference::bytewise_crc32), gbps(kernels::scalar::crc32), gbps(kernels::crc32));
+        println!("| {label} | {bytewise:.2} | {portable:.2} | {dispatched:.2} |");
+    }
 }
 
 /// Strips streamed per pass of the tile table: with 129-d rows ~2 MB, so the rows come

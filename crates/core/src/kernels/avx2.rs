@@ -16,24 +16,33 @@
 //! ulps; that is fine because a process always answers queries through one backend (see
 //! the module docs of [`super`]).
 //!
+//! # The checksum
+//!
+//! [`crc32`] is the one integer kernel here: CRC-32 by carry-less multiplication
+//! (`pclmulqdq`), four 128-bit lanes folded 64 bytes a step. A checksum has one right
+//! answer, so this arm is bit-identical to [`super::scalar::crc32`], not merely close.
+//!
 //! # Safety
 //!
 //! Every function is `unsafe` because it is compiled with
-//! `#[target_feature(enable = "avx2,fma")]`: the caller must have verified (via
-//! `is_x86_feature_detected!`) that the CPU supports AVX2 and FMA. The dispatcher in
-//! [`super`] is the only caller and checks exactly that.
+//! `#[target_feature(enable = "avx2,fma")]` (`"pclmulqdq,sse4.1"` for the checksum): the
+//! caller must have verified (via `is_x86_feature_detected!`) that the CPU supports
+//! those features. The dispatcher in [`super`] is the only caller and checks exactly
+//! that.
 
 #![allow(unsafe_code)]
 
 use std::arch::x86_64::{
-    __m128, __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_cmp_ps, _mm256_extractf128_ps,
-    _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_movemask_ps, _mm256_set1_ps, _mm256_setzero_ps,
-    _mm256_sub_ps, _mm_add_ps, _mm_cvtss_f32, _mm_hadd_ps, _mm_prefetch, _mm_storeu_ps, _CMP_GT_OQ,
-    _MM_HINT_T0,
+    __m128, __m128i, __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_cmp_ps,
+    _mm256_extractf128_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_movemask_ps, _mm256_set1_ps,
+    _mm256_setzero_ps, _mm256_sub_ps, _mm_add_ps, _mm_and_si128, _mm_clmulepi64_si128,
+    _mm_cvtsi32_si128, _mm_cvtss_f32, _mm_extract_epi32, _mm_hadd_ps, _mm_loadu_si128,
+    _mm_prefetch, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_storeu_ps, _mm_xor_si128,
+    _CMP_GT_OQ, _MM_HINT_T0,
 };
 
 use super::pop_row;
-use super::scalar::{tail_dot, tail_euclidean_sq, BLOCK_ROWS};
+use super::scalar::{crc32_update, tail_dot, tail_euclidean_sq, BLOCK_ROWS};
 use crate::{Scalar, LEAF_STRIP};
 
 /// Lanes per AVX2 register.
@@ -384,4 +393,120 @@ pub unsafe fn mask_gt(values: &[Scalar], threshold: Scalar) -> u64 {
         mask |= u64::from(value > threshold) << i;
     }
     mask
+}
+
+/// Bytes per 128-bit lane of [`crc32`].
+const CRC_LANE: usize = 16;
+/// The shortest input [`crc32`] takes: one load of its four lanes.
+pub(crate) const CRC_FOLD_MIN: usize = 4 * CRC_LANE;
+
+// Folding constants of the reflected IEEE polynomial `P`: `x^n mod P`, bit-reversed and
+// shifted left once (a carry-less product of two reflected operands comes out one bit
+// low). A lane is multiplied half by half, so each distance `D` has a pair: the low
+// quadword (the earlier bytes) sits 64 bits further from its target than the high one.
+// The unit tests derive every value from the polynomial.
+/// `x^(512+32)`, `x^(512−32)`: a lane onto the one 64 bytes later.
+const CRC_FOLD_64: (i64, i64) = (0x1_5444_2bd4, 0x1_c6e4_1596);
+/// `x^(128+32)`, `x^(128−32)`: a lane onto the next one.
+const CRC_FOLD_16: (i64, i64) = (0x1_7519_97d0, 0x0_ccaa_009e);
+/// `x^64`: the step from 96 bits down to 64.
+const CRC_FOLD_4: i64 = 0x1_63cd_6124;
+/// `P` itself (33 bits) and `⌊x^64 / P⌋`, both reflected: the Barrett pair.
+const CRC_BARRETT: (i64, i64) = (0x1_db71_0641, 0x1_f701_1641);
+
+/// `acc · x^D + next (mod P)`, with `k` the constant pair of distance `D`.
+///
+/// # Safety
+///
+/// Requires PCLMULQDQ (callers are themselves `target_feature(pclmulqdq,sse4.1)`).
+#[inline]
+#[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
+unsafe fn crc_fold(acc: __m128i, next: __m128i, k: __m128i) -> __m128i {
+    let low = _mm_clmulepi64_si128::<0x00>(acc, k);
+    let high = _mm_clmulepi64_si128::<0x11>(acc, k);
+    _mm_xor_si128(_mm_xor_si128(low, high), next)
+}
+
+/// CRC-32 (IEEE) of `data`, bit-identical to [`super::scalar::crc32`].
+///
+/// Four lanes are folded 64 bytes a step (four independent multiply chains), then onto
+/// each other, then over the remaining whole lanes one at a time; the 128-bit remainder
+/// is reduced to the 32-bit register by two more multiplications and a Barrett
+/// division, and the last `len % 16` bytes go through the table arm.
+///
+/// # Safety
+///
+/// CPU must support PCLMULQDQ and SSE4.1; `data.len() >= CRC_FOLD_MIN`.
+#[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
+pub unsafe fn crc32(data: &[u8]) -> u32 {
+    debug_assert!(data.len() >= CRC_FOLD_MIN, "crc32: input shorter than four lanes");
+    let lanes = data.len() / CRC_LANE;
+    let lane = data.as_ptr().cast::<__m128i>();
+    // The register starts as all ones: XOR it into the first four message bytes.
+    let mut x0 = _mm_xor_si128(_mm_loadu_si128(lane), _mm_cvtsi32_si128(-1));
+    let mut x1 = _mm_loadu_si128(lane.add(1));
+    let mut x2 = _mm_loadu_si128(lane.add(2));
+    let mut x3 = _mm_loadu_si128(lane.add(3));
+    let mut at = 4;
+    let k64 = _mm_set_epi64x(CRC_FOLD_64.1, CRC_FOLD_64.0);
+    while at + 4 <= lanes {
+        x0 = crc_fold(x0, _mm_loadu_si128(lane.add(at)), k64);
+        x1 = crc_fold(x1, _mm_loadu_si128(lane.add(at + 1)), k64);
+        x2 = crc_fold(x2, _mm_loadu_si128(lane.add(at + 2)), k64);
+        x3 = crc_fold(x3, _mm_loadu_si128(lane.add(at + 3)), k64);
+        at += 4;
+    }
+    let k16 = _mm_set_epi64x(CRC_FOLD_16.1, CRC_FOLD_16.0);
+    let mut x = crc_fold(crc_fold(crc_fold(x0, x1, k16), x2, k16), x3, k16);
+    while at < lanes {
+        x = crc_fold(x, _mm_loadu_si128(lane.add(at)), k16);
+        at += 1;
+    }
+    // 128 → 96 bits: the low quadword times x^96 onto the high one; 96 → 64: the low
+    // doubleword of that times x^64 onto the rest.
+    let low32 = _mm_set_epi32(0, 0, 0, -1);
+    x = _mm_xor_si128(_mm_clmulepi64_si128::<0x10>(x, k16), _mm_srli_si128::<8>(x));
+    x = _mm_xor_si128(
+        _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, CRC_FOLD_4)),
+        _mm_srli_si128::<4>(x),
+    );
+    // Barrett: q = ⌊low32(x) · ⌊x^64/P⌋ / x^32⌋, register = (x + q·P) / x^32.
+    let barrett = _mm_set_epi64x(CRC_BARRETT.1, CRC_BARRETT.0);
+    let q = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), barrett);
+    let qp = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(q, low32), barrett);
+    let state = _mm_extract_epi32::<1>(_mm_xor_si128(x, qp)) as u32;
+    !crc32_update(state, &data[lanes * CRC_LANE..])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `x^n mod P` over GF(2) in the reflected bit order (bit 31 is `x^0`).
+    fn x_pow_mod_p(n: u32) -> u64 {
+        (0..n).fold(1u32 << 31, |r, _| (r >> 1) ^ (0xEDB8_8320 & (r & 1).wrapping_neg())) as u64
+    }
+
+    #[test]
+    fn crc_constants_follow_from_the_polynomial() {
+        let k = |n| (x_pow_mod_p(n) << 1) as i64;
+        assert_eq!(CRC_FOLD_64, (k(512 + 32), k(512 - 32)));
+        assert_eq!(CRC_FOLD_16, (k(128 + 32), k(128 - 32)));
+        assert_eq!(CRC_FOLD_4, k(64));
+        // P with its x^32 term, reflected: the 32 low coefficients, then the leading one.
+        let p = (0xEDB8_8320u64 << 1) | 1;
+        assert_eq!(CRC_BARRETT.0, p as i64);
+        // ⌊x^64 / P⌋ by long division in the natural bit order, then reflected (33 bits).
+        let natural_p = p.reverse_bits() >> 31;
+        let (mut rem, mut quotient) = (1u64 << 32, 0u64);
+        for _ in 0..33 {
+            quotient <<= 1;
+            if rem >> 32 & 1 == 1 {
+                quotient |= 1;
+                rem ^= natural_p;
+            }
+            rem <<= 1;
+        }
+        assert_eq!(CRC_BARRETT.1, (quotient.reverse_bits() >> 31) as i64);
+    }
 }

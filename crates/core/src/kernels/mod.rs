@@ -19,6 +19,20 @@
 //! that selected them, one row load feeding four queries' accumulators; [`mask_gt`]
 //! turns a strip of bounds or distances into such a bitmask.
 //!
+//! # The checksum
+//!
+//! [`crc32`] — the IEEE CRC-32 over every snapshot section, WAL frame and wire frame —
+//! is dispatched like the rest, because a cold start is one pass of it over the whole
+//! snapshot:
+//!
+//! | arm | taken when | speed (one core, `kernel_bench`) |
+//! |---|---|---|
+//! | PCLMULQDQ folding (`avx2::crc32`) | backend is AVX2 + FMA, the CPU also reports `pclmulqdq` and `sse4.1`, and the input has ≥ 64 bytes | 17–24 GB/s from cache (600 B and up), ≈ 5 GB/s over the freshly mapped pages of a cold start |
+//! | slice-by-16 tables ([`scalar::crc32`]) | everything else: shorter inputs, the scalar backend (forced or detected), `aarch64` | ≈ 2 GB/s |
+//!
+//! It is not a [`KernelBackend`] of its own, and unlike the floating-point kernels its
+//! arms agree in every bit: a checksum written under one verifies under the other.
+//!
 //! # Consistency guarantees
 //!
 //! Floating-point summation order matters: reassociating a reduction changes the last
@@ -312,9 +326,42 @@ pub fn mask_gt(values: &[Scalar], threshold: Scalar) -> u64 {
     }
 }
 
+/// CRC-32 (IEEE 802.3 reflected polynomial, the `zlib`/`png` checksum) of `bytes`: the
+/// checksum of every snapshot section, WAL frame and wire frame. Every arm returns the
+/// same value for the same bytes (see the module docs for which one runs).
+#[inline]
+pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= avx2::CRC_FOLD_MIN
+        && active_backend() == KernelBackend::Avx2Fma
+        && is_x86_feature_detected!("pclmulqdq")
+        && is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: both features were just detected, and the length is the arm's minimum.
+        return unsafe { avx2::crc32(bytes) };
+    }
+    scalar::crc32(bytes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn checksum_detects_single_bit_flips() {
+        // One input per arm: below and above the folding arm's 64-byte minimum.
+        for len in [22, 200] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let reference = crc32(&data);
+            for i in 0..data.len() {
+                for bit in 0..8 {
+                    let mut flipped = data.clone();
+                    flipped[i] ^= 1 << bit;
+                    assert_ne!(crc32(&flipped), reference, "len {len}: flip at byte {i} bit {bit}");
+                }
+            }
+        }
+    }
 
     fn vecs(dim: usize, rows: usize) -> (Vec<Scalar>, Vec<Scalar>) {
         let query: Vec<Scalar> =

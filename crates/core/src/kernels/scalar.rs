@@ -175,3 +175,61 @@ pub fn mask_gt(values: &[Scalar], threshold: Scalar) -> u64 {
     debug_assert!(values.len() <= u64::BITS as usize, "mask_gt: more than 64 values");
     values.iter().enumerate().fold(0, |mask, (i, &value)| mask | u64::from(value > threshold) << i)
 }
+
+/// The reflected IEEE 802.3 CRC-32 polynomial (`zlib`, `png`).
+const CRC_POLY: u32 = 0xEDB8_8320;
+/// Bytes [`crc32_update`] consumes per step, one table each.
+const CRC_SLICES: usize = 16;
+
+/// `CRC_TABLES[k][b]` is the register after byte `b` and then `k` zero bytes, so one
+/// step XORs sixteen independent look-ups; `CRC_TABLES[0]` is the byte-at-a-time table.
+static CRC_TABLES: [[u32; 256]; CRC_SLICES] = {
+    let mut tables = [[0u32; 256]; CRC_SLICES];
+    let mut b = 0;
+    while b < 256 {
+        let mut c = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { CRC_POLY ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
+        }
+        tables[0][b] = c;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < CRC_SLICES {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// Advances the raw CRC register (no initial or final inversion) over `data`,
+/// slice-by-16 with a byte-at-a-time tail. The portable arm is this between the two
+/// inversions; the folding arm uses it for what it leaves over.
+#[inline]
+pub(crate) fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
+    let mut steps = data.chunks_exact(CRC_SLICES);
+    for step in &mut steps {
+        let head = state ^ u32::from_le_bytes([step[0], step[1], step[2], step[3]]);
+        state = 0;
+        for (k, &byte) in head.to_le_bytes().iter().chain(&step[4..]).enumerate() {
+            state ^= CRC_TABLES[CRC_SLICES - 1 - k][byte as usize];
+        }
+    }
+    for &byte in steps.remainder() {
+        state = CRC_TABLES[0][((state ^ byte as u32) & 0xFF) as usize] ^ (state >> 8);
+    }
+    state
+}
+
+/// CRC-32 (IEEE) of `data` by slice-by-16: the portable arm, and the definition the
+/// folding arm must reproduce.
+pub fn crc32(data: &[u8]) -> u32 {
+    !crc32_update(u32::MAX, data)
+}

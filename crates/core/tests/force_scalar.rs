@@ -6,6 +6,9 @@
 //! bitwise comparisons. (The unit tests in `kernels::tests` deliberately avoid the
 //! toggle for the same reason.)
 
+mod common;
+
+use common::bytewise_crc32;
 use p2h_core::kernels::{self, scalar};
 use p2h_core::{KernelBackend, Scalar, LEAF_STRIP};
 
@@ -33,6 +36,18 @@ fn check_tile_and_mask(query: &[Scalar], data: &[Scalar], dim: usize) {
     );
 }
 
+/// The checksum under whichever arm the dispatcher takes: the same 32 bits as the portable
+/// arm and the bytewise reference, below and above the folding arm's 64-byte minimum.
+fn checksums(data: &[Scalar]) -> [u32; 5] {
+    let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
+    [0, 40, 64, 150, bytes.len()].map(|len| {
+        let crc = kernels::crc32(&bytes[..len]);
+        assert_eq!(crc, scalar::crc32(&bytes[..len]), "portable arm, {len} bytes");
+        assert_eq!(crc, bytewise_crc32(&bytes[..len]), "bytewise reference, {len} bytes");
+        crc
+    })
+}
+
 #[test]
 fn force_scalar_switches_the_active_backend_and_back() {
     let dim = 40;
@@ -52,6 +67,7 @@ fn force_scalar_switches_the_active_backend_and_back() {
         );
     }
     check_tile_and_mask(&query, &data, dim);
+    let forced_checksums = checksums(&data);
 
     // Un-forcing restores hardware dispatch (and overrides any P2H_FORCE_SCALAR env
     // setting, which is why this asserts against detected_backend, not a constant).
@@ -63,4 +79,6 @@ fn force_scalar_switches_the_active_backend_and_back() {
         assert_eq!(out[r].to_bits(), single.to_bits());
     }
     check_tile_and_mask(&query, &data, dim);
+    // A checksum has one right answer: what the forced path wrote, the hardware path reads.
+    assert_eq!(checksums(&data), forced_checksums);
 }

@@ -4,8 +4,12 @@
 //! the single extra 8-lane chunk), and the blocked and tile kernels must be bit-identical
 //! per (query, row) pair to their single-vector counterparts. CI runs this file under
 //! hardware dispatch and under `P2H_FORCE_SCALAR=1`, so every property holds on both
-//! dispatch arms.
+//! dispatch arms. The checksum kernel is the exception to "within tolerance": every arm
+//! of `kernels::crc32` must equal the byte-at-a-time reference in every bit.
 
+mod common;
+
+use common::bytewise_crc32;
 use p2h_core::kernels::{self, scalar};
 use p2h_core::{Scalar, GROUP_WIDTH, LEAF_STRIP};
 use proptest::prelude::*;
@@ -37,7 +41,60 @@ fn tile_mask(shape: usize, bits: u64, rows: usize) -> u64 {
     }
 }
 
+/// Deterministic bytes for the checksum tests.
+fn crc_bytes(len: usize, seed: u64) -> Vec<u8> {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as u8
+        })
+        .collect()
+}
+
+#[test]
+fn checksum_known_answers_hold_for_every_arm_and_the_reference() {
+    for crc in [kernels::crc32, scalar::crc32, bytewise_crc32] {
+        // The standard CRC-32 check value.
+        assert_eq!(crc(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc(b""), 0);
+        assert_eq!(crc(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+}
+
+/// Every length through several 64-byte folding steps and every 16-byte lane remainder,
+/// the sizes around a power of two, a frame-sized and a section-sized input — each at
+/// every start alignment within a lane.
+#[test]
+fn checksum_arms_equal_the_bytewise_reference_at_every_length_and_alignment() {
+    const MIB: usize = 1 << 20;
+    let data = crc_bytes(MIB + 16, 7);
+    for len in (0..=700).chain([1023, 1024, 1025, 4096, MIB]) {
+        for offset in 0..=16 {
+            let bytes = &data[offset..offset + len];
+            let want = bytewise_crc32(bytes);
+            assert_eq!(kernels::crc32(bytes), want, "dispatched, offset {offset}, len {len}");
+            assert_eq!(scalar::crc32(bytes), want, "portable, offset {offset}, len {len}");
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn checksum_arms_equal_the_bytewise_reference_on_random_bytes(
+        seed in 0u64..u64::MAX,
+        len in 0usize..5000,
+        offset in 0usize..17,
+    ) {
+        let data = crc_bytes(offset + len, seed);
+        let bytes = &data[offset..];
+        let want = bytewise_crc32(bytes);
+        prop_assert_eq!(kernels::crc32(bytes), want);
+        prop_assert_eq!(scalar::crc32(bytes), want);
+    }
+
     #[test]
     fn tile_is_bit_identical_to_single_abs_dot(
         dim in dims(),

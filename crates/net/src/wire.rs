@@ -34,10 +34,11 @@
 
 use std::io::{Read, Write};
 
+use p2h_core::kernels::crc32;
 use p2h_core::{HyperplaneQuery, Neighbor, SearchParams, SearchResult, SearchStats};
 use p2h_obs::fault;
 use p2h_obs::FaultKind;
-use p2h_store::{crc32, retry_interrupted};
+use p2h_store::retry_interrupted;
 
 use crate::error::{ErrorCode, NetError, NetResult};
 
@@ -602,13 +603,47 @@ impl Message {
 
 const HEADER_LEN: usize = 12;
 
+/// Encodes `message` as one complete frame (header + payload) into a byte vector,
+/// for callers that manage their own buffered nonblocking writes (the front-end
+/// event loop). No fault site fires here — the caller instruments its own write.
+pub fn frame_bytes(message: &Message) -> Vec<u8> {
+    let payload = message.encode();
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    frame.extend_from_slice(&MAGIC);
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    frame
+}
+
+/// Checks a complete frame header and returns `(payload length, expected CRC)`. An
+/// over-cap length is refused here, before any caller allocates or buffers for it.
+fn parse_header(header: &[u8; HEADER_LEN]) -> NetResult<(usize, u32)> {
+    if header[..4] != MAGIC {
+        return Err(NetError::Malformed { context: "bad frame magic".into() });
+    }
+    let len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as u64;
+    if len > MAX_FRAME_BYTES {
+        return Err(NetError::FrameTooLarge { declared: len });
+    }
+    Ok((len as usize, u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"))))
+}
+
+/// Decodes a payload once its checksum matches the header's.
+fn verify_payload(payload: &[u8], expected_crc: u32) -> NetResult<Message> {
+    let actual_crc = crc32(payload);
+    if actual_crc != expected_crc {
+        return Err(NetError::Corrupt { expected_crc, actual_crc });
+    }
+    Message::decode(payload)
+}
+
 /// Encodes `message` and writes it as one frame. `site` names the fault-injection
 /// point (`client.send` / `server.send`); see the module docs for what each injected
 /// kind does here.
 pub fn write_frame<W: Write>(writer: &mut W, message: &Message, site: &str) -> NetResult<()> {
-    let mut payload = message.encode();
-    let crc = crc32(&payload);
-    let mut truncate_to = None;
+    let mut frame = frame_bytes(message);
+    let mut truncated = false;
     match fault::check(site) {
         Some(FaultKind::Disconnect) => {
             return Err(NetError::Io(std::io::Error::new(
@@ -616,35 +651,29 @@ pub fn write_frame<W: Write>(writer: &mut W, message: &Message, site: &str) -> N
                 "injected disconnect before frame",
             )));
         }
-        Some(FaultKind::Truncate) => truncate_to = Some(HEADER_LEN + payload.len() / 2),
+        Some(FaultKind::Truncate) => {
+            frame.truncate(HEADER_LEN + (frame.len() - HEADER_LEN) / 2);
+            truncated = true;
+        }
+        // Flip a payload bit AFTER the CRC was computed: the frame stays well-formed
+        // at the length level, and the receiver's checksum is the only thing standing
+        // between this and a wrong answer.
         Some(FaultKind::Corrupt) => {
-            // Flip a payload bit AFTER the CRC was computed: the frame stays
-            // well-formed at the length level, and the receiver's checksum is the
-            // only thing standing between this and a wrong answer.
-            if let Some(byte) = payload.last_mut() {
+            if let Some(byte) = frame[HEADER_LEN..].last_mut() {
                 *byte ^= 0x40;
             }
         }
         Some(FaultKind::Slow(ms)) => std::thread::sleep(std::time::Duration::from_millis(ms)),
         Some(FaultKind::Refuse) | Some(FaultKind::Eintr) | None => {}
     }
-
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-    frame.extend_from_slice(&MAGIC);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc.to_le_bytes());
-    frame.extend_from_slice(&payload);
-    if let Some(cut) = truncate_to {
-        frame.truncate(cut);
-        retry_interrupted(site, || writer.write_all(&frame).and_then(|()| writer.flush()))?;
-        crate::metrics::add_bytes_sent(site, frame.len() as u64);
+    retry_interrupted(site, || writer.write_all(&frame).and_then(|()| writer.flush()))?;
+    crate::metrics::add_bytes_sent(site, frame.len() as u64);
+    if truncated {
         return Err(NetError::Io(std::io::Error::new(
             std::io::ErrorKind::ConnectionAborted,
             "injected truncation mid-frame",
         )));
     }
-    retry_interrupted(site, || writer.write_all(&frame).and_then(|()| writer.flush()))?;
-    crate::metrics::add_bytes_sent(site, frame.len() as u64);
     Ok(())
 }
 
@@ -673,46 +702,21 @@ pub fn read_frame<R: Read>(reader: &mut R, site: &str) -> NetResult<Option<Messa
         Err(ReadError::CleanEof) => return Ok(None),
         Err(ReadError::Net(e)) => return Err(e),
     }
-    if header[..4] != MAGIC {
-        return Err(NetError::Malformed { context: "bad frame magic".into() });
-    }
-    let len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as u64;
-    let expected_crc = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    if len > MAX_FRAME_BYTES {
-        return Err(NetError::FrameTooLarge { declared: len });
-    }
-    let mut payload = vec![0u8; len as usize];
+    let (len, expected_crc) = parse_header(&header)?;
+    let mut payload = vec![0u8; len];
     match read_exact_retry(reader, &mut payload, site) {
         Ok(()) => {}
         // EOF inside the payload is a mid-frame disconnect, not a clean close.
         Err(ReadError::CleanEof) => return Err(NetError::Disconnected),
         Err(ReadError::Net(e)) => return Err(e),
     }
-    crate::metrics::add_bytes_recv(site, (HEADER_LEN as u64) + len);
+    crate::metrics::add_bytes_recv(site, (HEADER_LEN + len) as u64);
     if corrupt_payload {
         if let Some(byte) = payload.last_mut() {
             *byte ^= 0x40;
         }
     }
-    let actual_crc = crc32(&payload);
-    if actual_crc != expected_crc {
-        return Err(NetError::Corrupt { expected_crc, actual_crc });
-    }
-    Message::decode(&payload).map(Some)
-}
-
-/// Encodes `message` as one complete frame (header + payload) into a byte vector,
-/// for callers that manage their own buffered nonblocking writes (the front-end
-/// event loop). No fault site fires here — the caller instruments its own write.
-pub fn frame_bytes(message: &Message) -> Vec<u8> {
-    let payload = message.encode();
-    let crc = crc32(&payload);
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-    frame.extend_from_slice(&MAGIC);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc.to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
+    verify_payload(&payload, expected_crc).map(Some)
 }
 
 /// Attempts to decode one frame from the front of `buf` — the incremental
@@ -726,32 +730,20 @@ pub fn frame_bytes(message: &Message) -> Vec<u8> {
 /// or a payload that does not decode. Callers must drop the connection on error —
 /// the stream position is no longer trustworthy.
 pub fn frame_from_buf(buf: &[u8]) -> NetResult<Option<(Message, usize)>> {
-    if buf.len() < HEADER_LEN {
+    let Some(header) = buf.first_chunk::<HEADER_LEN>() else {
         // Reject bad magic as soon as the first bytes arrive, not only once a full
         // header is buffered — a peer speaking another protocol is cut off early.
         if !MAGIC.starts_with(&buf[..buf.len().min(4)]) {
             return Err(NetError::Malformed { context: "bad frame magic".into() });
         }
         return Ok(None);
-    }
-    if buf[..4] != MAGIC {
-        return Err(NetError::Malformed { context: "bad frame magic".into() });
-    }
-    let len = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes")) as u64;
-    if len > MAX_FRAME_BYTES {
-        return Err(NetError::FrameTooLarge { declared: len });
-    }
-    let total = HEADER_LEN + len as usize;
+    };
+    let (len, expected_crc) = parse_header(header)?;
+    let total = HEADER_LEN + len;
     if buf.len() < total {
         return Ok(None);
     }
-    let expected_crc = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes"));
-    let payload = &buf[HEADER_LEN..total];
-    let actual_crc = crc32(payload);
-    if actual_crc != expected_crc {
-        return Err(NetError::Corrupt { expected_crc, actual_crc });
-    }
-    Message::decode(payload).map(|message| Some((message, total)))
+    verify_payload(&buf[HEADER_LEN..total], expected_crc).map(|message| Some((message, total)))
 }
 
 enum ReadError {

@@ -67,6 +67,9 @@ mod mmap;
 pub mod retry;
 mod snapshot;
 mod store;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_support;
 pub mod wal;
 
 pub use crc32::crc32;

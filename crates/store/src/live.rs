@@ -280,12 +280,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn temp_store(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("p2h-live-store-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
+    use crate::test_support::TestDir;
 
     fn sample_ids(epoch: u64) -> LiveIdsSnapshot {
         LiveIdsSnapshot { epoch, dim: 4, next_id: 10, ids: vec![0u32, 2, 3, 7].into() }
@@ -321,7 +316,7 @@ mod tests {
 
     #[test]
     fn commit_and_reopen_live_entry() {
-        let dir = temp_store("commit");
+        let dir = TestDir::new("live-commit");
         let store = Store::create(&dir).unwrap();
         store.save_live_ids("idx.l0.ids.p2hs", &sample_ids(0)).unwrap();
         let files = LiveEntryFiles {
@@ -338,12 +333,11 @@ mod tests {
         // Reopen: the manifest round-trips the live line.
         let reopened = Store::open(&dir).unwrap();
         assert_eq!(reopened.live_entry("idx").unwrap(), files);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn commit_live_reclaims_superseded_files_only_after_commit() {
-        let dir = temp_store("reclaim");
+        let dir = TestDir::new("live-reclaim");
         let store = Store::create(&dir).unwrap();
         store.save_live_ids("idx.l0.ids.p2hs", &sample_ids(0)).unwrap();
         fs::write(dir.join("idx.l0.wal"), b"x").unwrap();
@@ -376,12 +370,11 @@ mod tests {
         assert!(!dir.join("idx.l0.wal").exists());
         assert!(dir.join("idx.l1.ids.p2hs").exists());
         assert!(dir.join("idx.l1.wal").exists());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn commit_live_validates_inputs() {
-        let dir = temp_store("validate");
+        let dir = TestDir::new("live-validate");
         let store = Store::create(&dir).unwrap();
         let bad_wal = LiveEntryFiles {
             ids_file: "idx.l0.ids.p2hs".into(),
@@ -396,12 +389,11 @@ mod tests {
         };
         assert!(matches!(store.commit_live("idx", &traversal), Err(StoreError::Manifest { .. })));
         assert!(store.live_path("../evil.wal").is_err());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn remove_live_deletes_entry_and_files() {
-        let dir = temp_store("remove");
+        let dir = TestDir::new("live-remove");
         let store = Store::create(&dir).unwrap();
         store.save_live_ids("idx.l0.ids.p2hs", &sample_ids(0)).unwrap();
         fs::write(dir.join("idx.l0.wal"), b"x").unwrap();
@@ -419,6 +411,5 @@ mod tests {
         assert!(matches!(store.live_entry("idx"), Err(StoreError::MissingEntry(_))));
         assert!(!dir.join("idx.l0.ids.p2hs").exists());
         assert!(!dir.join("idx.l0.wal").exists());
-        let _ = fs::remove_dir_all(&dir);
     }
 }

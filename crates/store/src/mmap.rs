@@ -305,11 +305,11 @@ impl fmt::Debug for MmapRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::TestDir;
 
     #[test]
     fn maps_a_real_file_and_serves_typed_views() {
-        let dir = std::env::temp_dir().join(format!("p2h-mmap-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("mmap-views");
         let path = dir.join("region.bin");
         let mut bytes = Vec::new();
         for v in [1.0f32, -2.5, 3.25] {
@@ -326,14 +326,13 @@ mod tests {
         assert_eq!(region.as_bytes(), &bytes[..]);
         assert_eq!(region.f32s(0, 3), &[1.0, -2.5, 3.25]);
         assert_eq!(region.u32s(12, 2), &[7, 9]);
+        // Unmapped before `dir` is removed.
         drop(region);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn empty_files_and_heap_regions_work() {
-        let dir = std::env::temp_dir().join(format!("p2h-mmap-empty-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("mmap-empty");
         let path = dir.join("empty.bin");
         std::fs::write(&path, b"").unwrap();
         let region = MmapRegion::map_file(&path).unwrap();
@@ -343,7 +342,6 @@ mod tests {
         let heap = MmapRegion::from_bytes(vec![0, 0, 128, 63]); // 1.0f32 LE
         assert_eq!(heap.f32s(0, 1), &[1.0]);
         assert!(format!("{heap:?}").contains("4 bytes"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

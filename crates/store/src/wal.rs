@@ -410,10 +410,7 @@ pub(crate) fn fsync_dir(dir: &Path) -> StoreResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn temp_path(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("p2h-wal-{tag}-{}.wal", std::process::id()))
-    }
+    use crate::test_support::TestDir;
 
     fn sample_ops(dim: usize, first_id: u32) -> Vec<WalOp> {
         vec![
@@ -426,8 +423,8 @@ mod tests {
 
     #[test]
     fn round_trip_and_reopen() {
-        let path = temp_path("round-trip");
-        let _ = fs::remove_file(&path);
+        let dir = TestDir::new("wal-round-trip");
+        let path = dir.join("segment.wal");
         let header = WalHeader { epoch: 3, dim: 4, first_id: 100 };
         let mut writer = WalWriter::create(&path, header).unwrap();
         let ops = sample_ops(4, 100);
@@ -448,25 +445,23 @@ mod tests {
         let replay = replay_wal(&path).unwrap();
         assert_eq!(replay.ops.len(), 5);
         assert_eq!(replay.ops[4], WalOp::Delete { id: 101 });
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn create_refuses_existing_segment() {
-        let path = temp_path("no-clobber");
-        let _ = fs::remove_file(&path);
+        let dir = TestDir::new("wal-no-clobber");
+        let path = dir.join("segment.wal");
         let header = WalHeader { epoch: 0, dim: 3, first_id: 0 };
         WalWriter::create(&path, header).unwrap();
         assert!(matches!(WalWriter::create(&path, header), Err(StoreError::Io { .. })));
-        let _ = fs::remove_file(&path);
     }
 
     /// Every truncation point of a valid segment either replays a prefix of the ops
     /// (torn tail) or fails the header check — never a panic, never a wrong op.
     #[test]
     fn truncation_sweep_yields_prefixes() {
-        let path = temp_path("truncate");
-        let _ = fs::remove_file(&path);
+        let dir = TestDir::new("wal-truncate");
+        let path = dir.join("segment.wal");
         let header = WalHeader { epoch: 1, dim: 3, first_id: 7 };
         let mut writer = WalWriter::create(&path, header).unwrap();
         let ops = sample_ops(3, 7);
@@ -474,7 +469,7 @@ mod tests {
         drop(writer);
         let full = fs::read(&path).unwrap();
 
-        let cut_path = temp_path("truncate-cut");
+        let cut_path = dir.join("damaged.wal");
         for cut in 0..full.len() {
             fs::write(&cut_path, &full[..cut]).unwrap();
             match replay_wal(&cut_path) {
@@ -490,8 +485,6 @@ mod tests {
                 Err(other) => panic!("unexpected error at cut {cut}: {other}"),
             }
         }
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(&cut_path);
     }
 
     /// A flipped bit in any frame byte is caught: mid-segment flips are typed
@@ -499,8 +492,8 @@ mod tests {
     /// ever replays a wrong operation.
     #[test]
     fn bit_flip_sweep_never_replays_wrong_ops() {
-        let path = temp_path("bitflip");
-        let _ = fs::remove_file(&path);
+        let dir = TestDir::new("wal-bitflip");
+        let path = dir.join("segment.wal");
         let header = WalHeader { epoch: 2, dim: 2, first_id: 0 };
         let mut writer = WalWriter::create(&path, header).unwrap();
         let ops = sample_ops(2, 0);
@@ -508,7 +501,7 @@ mod tests {
         drop(writer);
         let full = fs::read(&path).unwrap();
 
-        let flip_path = temp_path("bitflip-cut");
+        let flip_path = dir.join("damaged.wal");
         for byte in WAL_HEADER_LEN..full.len() {
             let mut flipped = full.clone();
             flipped[byte] ^= 0x10;
@@ -525,14 +518,12 @@ mod tests {
                 Err(other) => panic!("unexpected error at byte {byte}: {other}"),
             }
         }
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(&flip_path);
     }
 
     #[test]
     fn header_corruption_is_typed() {
-        let path = temp_path("header");
-        let _ = fs::remove_file(&path);
+        let dir = TestDir::new("wal-header");
+        let path = dir.join("segment.wal");
         let header = WalHeader { epoch: 0, dim: 2, first_id: 0 };
         WalWriter::create(&path, header).unwrap();
         let mut bytes = fs::read(&path).unwrap();
@@ -545,13 +536,12 @@ mod tests {
         bytes[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(replay_wal(&path), Err(StoreError::WalCorrupt { .. })));
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn non_sequential_insert_is_corrupt() {
-        let path = temp_path("seq");
-        let _ = fs::remove_file(&path);
+        let dir = TestDir::new("wal-seq");
+        let path = dir.join("segment.wal");
         let header = WalHeader { epoch: 0, dim: 2, first_id: 5 };
         let mut writer = WalWriter::create(&path, header).unwrap();
         // Bypass the live index's id assignment: log an out-of-order id directly.
@@ -560,13 +550,12 @@ mod tests {
         writer.append(&[WalOp::Delete { id: 0 }]).unwrap();
         drop(writer);
         assert!(matches!(replay_wal(&path), Err(StoreError::WalCorrupt { .. })));
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn append_validates_dimension() {
-        let path = temp_path("dim");
-        let _ = fs::remove_file(&path);
+        let dir = TestDir::new("wal-dim");
+        let path = dir.join("segment.wal");
         let mut writer =
             WalWriter::create(&path, WalHeader { epoch: 0, dim: 4, first_id: 0 }).unwrap();
         let err = writer.append(&[WalOp::Insert { id: 0, point: vec![1.0; 3] }]).unwrap_err();
@@ -575,6 +564,5 @@ mod tests {
         drop(writer);
         let replay = replay_wal(&path).unwrap();
         assert!(replay.ops.is_empty());
-        let _ = fs::remove_file(&path);
     }
 }

@@ -5,10 +5,12 @@
 //! test in this binary serializes on one mutex — cargo runs test *binaries*
 //! sequentially, so rules set here cannot leak into other suites.
 
-use std::path::PathBuf;
+mod common;
+
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, SystemTime};
 
+use common::TestDir;
 use p2h_core::{LinearScan, PointSet};
 use p2h_data::{DataDistribution, SyntheticDataset};
 use p2h_obs::fault;
@@ -24,12 +26,6 @@ fn dataset(n: usize, seed: u64) -> PointSet {
     SyntheticDataset::new("store-robustness", n, 6, DataDistribution::Uniform { scale: 2.0 }, seed)
         .generate()
         .unwrap()
-}
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("p2h-robust-{}-{name}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
 }
 
 fn eintr_retries() -> u64 {
@@ -53,7 +49,7 @@ fn future_skips() -> u64 {
 fn transient_eintr_never_aborts_a_snapshot_load() {
     let _guard = serialize();
     let ps = dataset(300, 11);
-    let dir = temp_dir("eintr-transient");
+    let dir = TestDir::new("eintr-transient");
     let store = Store::create(&dir).unwrap();
     store.save("scan", &LinearScan::new(ps.clone())).unwrap();
 
@@ -82,7 +78,7 @@ fn transient_eintr_never_aborts_a_snapshot_load() {
 fn persistent_eintr_is_a_typed_error() {
     let _guard = serialize();
     let ps = dataset(120, 12);
-    let dir = temp_dir("eintr-persistent");
+    let dir = TestDir::new("eintr-persistent");
     let store = Store::create(&dir).unwrap();
     store.save("scan", &LinearScan::new(ps)).unwrap();
 
@@ -108,7 +104,7 @@ fn persistent_eintr_is_a_typed_error() {
 fn transient_eintr_never_aborts_a_save() {
     let _guard = serialize();
     let ps = dataset(150, 13);
-    let dir = temp_dir("eintr-save");
+    let dir = TestDir::new("eintr-save");
     let store = Store::create(&dir).unwrap();
 
     fault::set_spec("store.write:eintr:0.5:99").unwrap();
@@ -127,7 +123,7 @@ fn transient_eintr_never_aborts_a_save() {
 fn sweep_grace_is_configurable() {
     let _guard = serialize();
     let ps = dataset(100, 14);
-    let dir = temp_dir("grace");
+    let dir = TestDir::new("grace");
     let store = Store::create(&dir).unwrap();
     store.save("live", &LinearScan::new(ps)).unwrap();
 
@@ -153,7 +149,7 @@ fn sweep_grace_is_configurable() {
 fn future_mtime_files_are_skipped_not_swept() {
     let _guard = serialize();
     let ps = dataset(100, 15);
-    let dir = temp_dir("future");
+    let dir = TestDir::new("future");
     let store = Store::create(&dir).unwrap();
     store.save("live", &LinearScan::new(ps)).unwrap();
 
@@ -189,7 +185,7 @@ fn future_mtime_files_are_skipped_not_swept() {
 #[test]
 fn sweep_protects_referenced_live_files_and_reclaims_staged_ones() {
     let _guard = serialize();
-    let dir = temp_dir("live-sweep");
+    let dir = TestDir::new("live-sweep");
     let store = Store::create(&dir).unwrap();
 
     // A committed live entry at epoch 0 (ids + wal referenced by the manifest).

@@ -1,8 +1,9 @@
 //! Round-trip property: `load(save(index))` answers queries bit-identically to the
 //! in-memory original, for every index kind, on ≥5k-point datasets.
 
-use std::path::PathBuf;
+mod common;
 
+use common::TestDir;
 use p2h_balltree::{BallTree, BallTreeBuilder};
 use p2h_bctree::{BcTree, BcTreeBuilder};
 use p2h_core::{HyperplaneQuery, LinearScan, P2hIndex, PointSet, SearchParams};
@@ -24,13 +25,6 @@ fn dataset(n: usize, dim: usize, seed: u64) -> PointSet {
 
 fn queries(ps: &PointSet, count: usize) -> Vec<HyperplaneQuery> {
     generate_queries(ps, count, QueryDistribution::DataDifference, 321).unwrap()
-}
-
-fn temp_dir(name: &str) -> PathBuf {
-    let mut dir = std::env::temp_dir();
-    dir.push(format!("p2h-store-{}-{name}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
 }
 
 /// Asserts that two indexes return *bit-identical* results: same neighbor ids, same
@@ -151,7 +145,7 @@ fn fh_index_round_trips_bit_identically() {
 
 #[test]
 fn hash_baselines_store_and_dispatch_by_kind() {
-    let dir = temp_dir("hash-store");
+    let dir = TestDir::new("hash-store");
     let ps = dataset(2_000, 8, 9);
     let nh = NhIndex::build(&ps, NhParams::new(2, 8).with_seed(1)).unwrap();
     let fh = FhIndex::build(&ps, FhParams::new(2, 8, 2).with_seed(1)).unwrap();
@@ -171,8 +165,6 @@ fn hash_baselines_store_and_dispatch_by_kind() {
         store.load::<NhIndex>("fh"),
         Err(StoreError::KindMismatch { expected: IndexKind::Nh, found: IndexKind::Fh })
     ));
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -192,7 +184,7 @@ fn snapshot_meta_peeks_without_full_load() {
 
 #[test]
 fn store_saves_and_loads_named_indexes() {
-    let dir = temp_dir("store");
+    let dir = TestDir::new("store");
     let ps = dataset(5_000, 12, 5);
     let ball = BallTreeBuilder::new(100).with_seed(1).build(&ps).unwrap();
     let bc = BcTreeBuilder::new(100).with_seed(1).build(&ps).unwrap();
@@ -238,13 +230,12 @@ fn store_saves_and_loads_named_indexes() {
     let reloaded: BallTree = store.load("ball").unwrap();
     assert_eq!(reloaded.leaf_size(), 32);
     assert_eq!(store.names().unwrap().len(), 3);
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn store_rejects_bad_names_and_missing_dirs() {
-    let dir = temp_dir("validation");
+    let parent = TestDir::new("validation");
+    let dir = parent.join("not-created-yet");
     assert!(matches!(Store::open(&dir), Err(StoreError::Io { .. })));
     let store = Store::create(&dir).unwrap();
     let ps = dataset(100, 4, 6);
@@ -252,5 +243,4 @@ fn store_rejects_bad_names_and_missing_dirs() {
     for bad in ["", "../escape", "has space", ".hidden"] {
         assert!(matches!(store.save(bad, &scan), Err(StoreError::InvalidName(_))), "{bad}");
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

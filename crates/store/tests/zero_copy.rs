@@ -3,8 +3,9 @@
 //! path (mirroring the v1/copying suite), alignment-violation handling, v1
 //! compatibility, and the open-time sweep of crash-leftover epoch files.
 
-use std::path::PathBuf;
+mod common;
 
+use common::TestDir;
 use proptest::prelude::*;
 
 use p2h_balltree::{BallTree, BallTreeBuilder};
@@ -31,12 +32,6 @@ fn queries(ps: &PointSet, count: usize, seed: u64) -> Vec<HyperplaneQuery> {
     generate_queries(ps, count, QueryDistribution::DataDifference, seed).unwrap()
 }
 
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("p2h-zero-copy-{}-{name}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
-
 /// Bit-level equality of two indexes' answers (ids + distance bits), exact and
 /// budgeted.
 fn assert_bit_identical(a: &dyn P2hIndex, b: &dyn P2hIndex, ps: &PointSet, seed: u64) {
@@ -56,7 +51,7 @@ fn assert_bit_identical(a: &dyn P2hIndex, b: &dyn P2hIndex, ps: &PointSet, seed:
 #[test]
 fn mmap_loads_are_bit_identical_for_every_kind() {
     let ps = dataset(2_500, 10, 41);
-    let dir = temp_dir("all-kinds");
+    let dir = TestDir::new("all-kinds");
     let store = Store::create(&dir).unwrap().with_mode(LoadMode::Copy);
 
     store.save("scan", &LinearScan::new(ps.clone())).unwrap();
@@ -110,14 +105,12 @@ fn mmap_loads_are_bit_identical_for_every_kind() {
         assert_eq!(fh_mmap.partition_ids(p), fh_copy.partition_ids(p));
     }
     assert_bit_identical(&fh_copy, &fh_mmap, &ps, 5);
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn load_all_and_entries_work_under_mmap() {
     let ps = dataset(800, 8, 47);
-    let dir = temp_dir("load-all");
+    let dir = TestDir::new("load-all");
     let store = Store::create(&dir).unwrap();
     store.save("a", &LinearScan::new(ps.clone())).unwrap();
     store.save("b", &BallTreeBuilder::new(16).build(&ps).unwrap()).unwrap();
@@ -129,7 +122,6 @@ fn load_all_and_entries_work_under_mmap() {
         let copied = store.clone().with_mode(LoadMode::Copy).load_any(name).unwrap();
         assert_bit_identical(loaded.as_index(), copied.as_index(), &ps, 6);
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -269,7 +261,7 @@ fn v1_snapshots_still_load_via_the_copying_path() {
 #[test]
 fn crash_leftover_epoch_files_are_swept_on_open() {
     let ps = dataset(200, 6, 46);
-    let dir = temp_dir("sweep");
+    let dir = TestDir::new("sweep");
     let store = Store::create(&dir).unwrap();
     store.save("live", &LinearScan::new(ps.clone())).unwrap();
     // Replace once so the live entry sits under an epoch file name itself — the sweep
@@ -313,7 +305,6 @@ fn crash_leftover_epoch_files_are_swept_on_open() {
     }
     // The surviving entry still loads.
     let _: LinearScan = reopened.load("live").unwrap();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
@@ -325,7 +316,7 @@ proptest! {
     #[test]
     fn mmap_equals_copy_bitwise(n in 120usize..600, dim in 4usize..12, seed in 0u64..1000) {
         let ps = dataset(n, dim, seed);
-        let dir = temp_dir(&format!("prop-{n}-{dim}-{seed}"));
+        let dir = TestDir::new("prop");
         let store = Store::create(&dir).unwrap().with_mode(LoadMode::Copy);
         store.save("scan", &LinearScan::new(ps.clone())).unwrap();
         store.save("ball", &BallTreeBuilder::new(24).with_seed(seed).build(&ps).unwrap()).unwrap();
@@ -338,6 +329,5 @@ proptest! {
             let b = mapped.load_any(name).unwrap();
             assert_bit_identical(a.as_index(), b.as_index(), &ps, seed ^ 0xff);
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
