@@ -2,7 +2,7 @@
 //! internal nodes and point-level (ball + cone) pruning inside the leaves.
 //!
 //! The traversal itself is the loop shared with the Ball-Tree
-//! ([`p2h_balltree::traverse`]); this module supplies the BC-Tree's two rules. Point-level
+//! (`crate::traverse`); this module supplies the BC-Tree's two rules. Point-level
 //! pruning is applied at **strip granularity**: for each strip of up to [`LEAF_STRIP`]
 //! leaf rows, both bounds are evaluated for the whole strip, branch-free, and compared
 //! with the threshold `q.λ` as of the strip start ([`kernels::mask_gt`]); the surviving
@@ -16,18 +16,54 @@
 
 use std::ops::Range;
 
-use p2h_balltree::traverse::{
-    first_rows, search_group, search_one, Selection, TraversalRules, TreeArrays,
-};
-use p2h_balltree::Node;
 use p2h_core::{
     kernels, HyperplaneQuery, P2hIndex, QueryScratch, Scalar, SearchParams, SearchResult,
     SearchStats, LEAF_STRIP,
 };
 
 use crate::bounds::{point_ball_bound, point_cone_bound, query_decomposition};
-use crate::build::{BcTree, LeafPointAux};
-use crate::BcTreeVariant;
+use crate::node::Node;
+use crate::traverse::{
+    first_rows, search_group, search_one, Selection, TraversalRules, TreeArrays,
+};
+use crate::tree::{BcTree, LeafPointAux};
+
+/// Which point-level lower bounds the search uses (the ablation of Figure 8).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum BcTreeVariant {
+    /// Both point-level bounds (the full BC-Tree).
+    #[default]
+    Full,
+    /// Only the point-level ball bound ("BC-Tree-wo-C" in the paper).
+    WithoutCone,
+    /// Only the point-level cone bound ("BC-Tree-wo-B" in the paper).
+    WithoutBall,
+    /// Neither point-level bound ("BC-Tree-wo-BC"): leaves are scanned exhaustively, but
+    /// the collaborative inner-product strategy is still used.
+    WithoutBoth,
+}
+
+impl BcTreeVariant {
+    /// Whether the point-level ball bound is active.
+    pub fn uses_ball_bound(self) -> bool {
+        matches!(self, BcTreeVariant::Full | BcTreeVariant::WithoutCone)
+    }
+
+    /// Whether the point-level cone bound is active.
+    pub fn uses_cone_bound(self) -> bool {
+        matches!(self, BcTreeVariant::Full | BcTreeVariant::WithoutBall)
+    }
+
+    /// The label the paper uses for this variant.
+    pub fn label(self) -> &'static str {
+        match self {
+            BcTreeVariant::Full => "BC-Tree",
+            BcTreeVariant::WithoutCone => "BC-Tree-wo-C",
+            BcTreeVariant::WithoutBall => "BC-Tree-wo-B",
+            BcTreeVariant::WithoutBoth => "BC-Tree-wo-BC",
+        }
+    }
+}
 
 /// Collaborative child dots, point-level ball and cone pruning (as far as `variant`
 /// enables them). The buffer-backed arrays are resolved once per search, like
@@ -140,17 +176,7 @@ impl BcTree {
         variant: BcTreeVariant,
         scratch: &mut QueryScratch,
     ) -> SearchResult {
-        search_one(&self.arrays(), &self.rules(variant), query, params, scratch)
-    }
-
-    fn arrays(&self) -> TreeArrays<'_> {
-        TreeArrays {
-            nodes: &self.nodes,
-            centers: &self.centers,
-            points: self.points.as_flat(),
-            original_ids: &self.original_ids,
-            dim: self.points.dim(),
-        }
+        search_one(&self.tree.arrays(), &self.rules(variant), query, params, scratch)
     }
 
     fn rules(&self, variant: BcTreeVariant) -> BcTreeRules<'_> {
@@ -211,11 +237,11 @@ impl P2hIndex for BcTree {
     }
 
     fn len(&self) -> usize {
-        self.points.len()
+        self.tree.points.len()
     }
 
     fn dim(&self) -> usize {
-        self.points.dim()
+        self.tree.points.dim()
     }
 
     fn index_size_bytes(&self) -> usize {
@@ -243,15 +269,14 @@ impl P2hIndex for BcTree {
         out: &mut Vec<SearchResult>,
     ) {
         let rules = self.rules(BcTreeVariant::Full);
-        search_group(&self.arrays(), &rules, queries, params, scratch, out);
+        search_group(&self.tree.arrays(), &rules, queries, params, scratch, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::BcTreeBuilder;
-    use p2h_balltree::BallTreeBuilder;
+    use crate::build::{BallTreeBuilder, BcTreeBuilder};
     use p2h_core::{BranchPreference, LinearScan, PointSet};
     use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
 
@@ -554,5 +579,22 @@ mod tests {
         let q = &queries(&ps, 1)[0];
         let result = tree.search_exact(q, 500);
         assert_eq!(result.neighbors.len(), 60);
+    }
+
+    #[test]
+    fn variant_flags_match_labels() {
+        assert!(BcTreeVariant::Full.uses_ball_bound());
+        assert!(BcTreeVariant::Full.uses_cone_bound());
+        assert!(BcTreeVariant::WithoutCone.uses_ball_bound());
+        assert!(!BcTreeVariant::WithoutCone.uses_cone_bound());
+        assert!(!BcTreeVariant::WithoutBall.uses_ball_bound());
+        assert!(BcTreeVariant::WithoutBall.uses_cone_bound());
+        assert!(!BcTreeVariant::WithoutBoth.uses_ball_bound());
+        assert!(!BcTreeVariant::WithoutBoth.uses_cone_bound());
+        assert_eq!(BcTreeVariant::Full.label(), "BC-Tree");
+        assert_eq!(BcTreeVariant::WithoutCone.label(), "BC-Tree-wo-C");
+        assert_eq!(BcTreeVariant::WithoutBall.label(), "BC-Tree-wo-B");
+        assert_eq!(BcTreeVariant::WithoutBoth.label(), "BC-Tree-wo-BC");
+        assert_eq!(BcTreeVariant::default(), BcTreeVariant::Full);
     }
 }

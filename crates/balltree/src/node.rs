@@ -1,4 +1,4 @@
-//! Arena node representation shared by the Ball-Tree (and reused by the BC-Tree crate).
+//! Arena node representation shared by both trees.
 
 use p2h_core::{Error, Result, Scalar};
 
@@ -58,7 +58,7 @@ impl Node {
 ///   arena reachable from the root is a tree — traversals terminate);
 /// * with `siblings_adjacent`, the right child's center row immediately follows the
 ///   left child's (the layout contract of the Ball-Tree's paired-children matvec).
-pub fn validate_structure(
+pub(crate) fn validate_structure(
     nodes: &[Node],
     point_count: usize,
     center_rows: usize,
@@ -131,8 +131,8 @@ pub fn validate_structure(
 
 /// Validates that `ids` is a permutation of `0..point_count` (the reordered-position →
 /// original-index mapping every tree stores). Load-time companion of
-/// [`validate_structure`], shared by the Ball-Tree and BC-Tree snapshot paths.
-pub fn validate_permutation(ids: &[u32], point_count: usize) -> Result<()> {
+/// [`validate_structure`].
+pub(crate) fn validate_permutation(ids: &[u32], point_count: usize) -> Result<()> {
     if ids.len() != point_count {
         return Err(Error::Corrupt(format!(
             "id mapping has {} entries for {point_count} points",

@@ -15,11 +15,11 @@ use p2h_core::{
     SearchStats,
 };
 
-use crate::build::BallTree;
 use crate::node::Node;
 use crate::traverse::{
     first_rows, search_group, search_one, Selection, TraversalRules, TreeArrays,
 };
+use crate::tree::BallTree;
 
 /// Paired child dots, plain leaf scan.
 struct BallTreeRules;
@@ -59,29 +59,17 @@ impl TraversalRules for BallTreeRules {
     }
 }
 
-impl BallTree {
-    fn arrays(&self) -> TreeArrays<'_> {
-        TreeArrays {
-            nodes: &self.nodes,
-            centers: &self.centers,
-            points: self.points.as_flat(),
-            original_ids: &self.original_ids,
-            dim: self.points.dim(),
-        }
-    }
-}
-
 impl P2hIndex for BallTree {
     fn name(&self) -> &'static str {
         "Ball-Tree"
     }
 
     fn len(&self) -> usize {
-        self.points.len()
+        self.tree.points.len()
     }
 
     fn dim(&self) -> usize {
-        self.points.dim()
+        self.tree.points.dim()
     }
 
     fn index_size_bytes(&self) -> usize {
@@ -98,7 +86,7 @@ impl P2hIndex for BallTree {
         params: &SearchParams,
         scratch: &mut QueryScratch,
     ) -> SearchResult {
-        search_one(&self.arrays(), &BallTreeRules, query, params, scratch)
+        search_one(&self.tree.arrays(), &BallTreeRules, query, params, scratch)
     }
 
     fn search_group_with_scratch(
@@ -108,7 +96,7 @@ impl P2hIndex for BallTree {
         scratch: &mut QueryScratch,
         out: &mut Vec<SearchResult>,
     ) {
-        search_group(&self.arrays(), &BallTreeRules, queries, params, scratch, out);
+        search_group(&self.tree.arrays(), &BallTreeRules, queries, params, scratch, out);
     }
 }
 

@@ -2,7 +2,7 @@
 //! (synthetic) data: the stored cone decompositions, the batch-pruning order, and the
 //! variant wrapper exposed for Figure 8.
 
-use p2h_bctree::{BcTreeBuilder, BcTreeVariant};
+use p2h_balltree::{BcTreeBuilder, BcTreeVariant};
 use p2h_core::{distance, P2hIndex, SearchParams};
 use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
 

@@ -3,8 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use p2h_balltree::BallTreeBuilder;
-use p2h_bctree::BcTreeBuilder;
+use p2h_balltree::{BallTreeBuilder, BcTreeBuilder};
 use p2h_data::{DataDistribution, SyntheticDataset};
 use p2h_hash::{FhIndex, FhParams, NhIndex, NhParams};
 

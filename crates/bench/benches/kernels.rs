@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use p2h_balltree::bound::node_ball_bound;
-use p2h_bctree::bounds::{point_ball_bound, point_cone_bound};
+use p2h_balltree::bounds::{point_ball_bound, point_cone_bound};
 use p2h_core::distance;
 use p2h_core::kernels;
 use p2h_core::Scalar;

@@ -3,8 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use p2h_balltree::BallTreeBuilder;
-use p2h_bctree::{BcTreeBuilder, BcTreeVariant};
+use p2h_balltree::{BallTreeBuilder, BcTreeBuilder, BcTreeVariant};
 use p2h_core::{LinearScan, P2hIndex, SearchParams};
 use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
 use p2h_hash::{FhIndex, FhParams, NhIndex, NhParams};

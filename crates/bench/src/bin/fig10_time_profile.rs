@@ -2,8 +2,7 @@
 //! (candidate verification, table lookup, lower bound computation, other) at about 90%
 //! recall on Cifar-10 and Sun.
 
-use p2h_balltree::BallTreeBuilder;
-use p2h_bctree::BcTreeBuilder;
+use p2h_balltree::{BallTreeBuilder, BcTreeBuilder};
 use p2h_bench::{budget_ladder, emit, prepare, BenchConfig};
 use p2h_core::P2hIndex;
 use p2h_data::profile_catalog;

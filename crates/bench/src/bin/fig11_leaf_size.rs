@@ -1,7 +1,7 @@
 //! Figure 11: the impact of the maximum leaf size N0 on BC-Tree's query-time/recall
 //! trade-off (the parameter-setting guidance experiment of the paper).
 
-use p2h_bctree::BcTreeBuilder;
+use p2h_balltree::BcTreeBuilder;
 use p2h_bench::{budget_ladder, emit, prepare, BenchConfig};
 use p2h_data::paper_catalog;
 use p2h_eval::sweep_budgets;

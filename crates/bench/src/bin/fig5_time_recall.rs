@@ -4,8 +4,7 @@
 //! The paper's claim: the trees are about 1.1–10× faster than the better of NH and FH at
 //! matched recall on most data sets, with the advantage largest below 60% recall.
 
-use p2h_balltree::BallTreeBuilder;
-use p2h_bctree::BcTreeBuilder;
+use p2h_balltree::{BallTreeBuilder, BcTreeBuilder};
 use p2h_bench::{budget_ladder, emit, prepare, BenchConfig};
 use p2h_core::P2hIndex;
 use p2h_data::paper_catalog;

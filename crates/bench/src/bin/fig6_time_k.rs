@@ -3,8 +3,7 @@
 //! For each k ∈ {1, 10, 20, 40} and each method, the smallest candidate budget reaching
 //! ≈80% mean recall is selected and its average query time reported.
 
-use p2h_balltree::BallTreeBuilder;
-use p2h_bctree::BcTreeBuilder;
+use p2h_balltree::{BallTreeBuilder, BcTreeBuilder};
 use p2h_bench::{budget_ladder, emit, prepare, BenchConfig};
 use p2h_core::P2hIndex;
 use p2h_data::{paper_catalog, GroundTruth};

@@ -5,8 +5,7 @@
 //! recall, because near the root the node-level ball bounds of both children are usually
 //! zero and carry no ordering information.
 
-use p2h_balltree::BallTreeBuilder;
-use p2h_bctree::BcTreeBuilder;
+use p2h_balltree::{BallTreeBuilder, BcTreeBuilder};
 use p2h_bench::{budget_ladder, emit, prepare, BenchConfig};
 use p2h_core::{BranchPreference, P2hIndex, SearchParams};
 use p2h_data::paper_catalog;

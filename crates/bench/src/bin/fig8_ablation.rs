@@ -3,7 +3,7 @@
 //! Compares BC-Tree against BC-Tree-wo-C (no cone bound), BC-Tree-wo-B (no ball bound)
 //! and BC-Tree-wo-BC (neither) — query time vs k at about 80% recall, as in the paper.
 
-use p2h_bctree::{BcTreeBuilder, BcTreeVariant};
+use p2h_balltree::{BcTreeBuilder, BcTreeVariant};
 use p2h_bench::{budget_ladder, emit, prepare, BenchConfig};
 use p2h_core::SearchParams;
 use p2h_data::{paper_catalog, GroundTruth};

@@ -6,8 +6,7 @@
 //! largest on the biggest data sets, especially below 40% recall — should be visible at
 //! any scale.
 
-use p2h_balltree::BallTreeBuilder;
-use p2h_bctree::BcTreeBuilder;
+use p2h_balltree::{BallTreeBuilder, BcTreeBuilder};
 use p2h_bench::{budget_ladder, emit, prepare, BenchConfig};
 use p2h_core::P2hIndex;
 use p2h_data::large_scale_catalog;

@@ -19,8 +19,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use p2h_balltree::{BallTree, BallTreeBuilder};
-use p2h_bctree::{BcTree, BcTreeBuilder};
+use p2h_balltree::{BallTree, BallTreeBuilder, BcTree, BcTreeBuilder};
 use p2h_bench::serving::{bit_identical, clustered_dataset, serving_queries};
 use p2h_core::{kernels, HyperplaneQuery, P2hIndex, PointSet, SearchParams, SearchResult};
 use p2h_engine::{BatchRequest, Engine};

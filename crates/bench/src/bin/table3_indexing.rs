@@ -5,8 +5,7 @@
 //! 11–2,400× relative to the hashing schemes; the same ordering (and roughly the same
 //! ratios) should appear here on the synthetic stand-ins.
 
-use p2h_balltree::BallTreeBuilder;
-use p2h_bctree::BcTreeBuilder;
+use p2h_balltree::{BallTreeBuilder, BcTreeBuilder};
 use p2h_bench::{emit, BenchConfig};
 use p2h_data::paper_catalog;
 use p2h_eval::measure_build;

@@ -18,9 +18,9 @@
 //! * [`Engine`] — the registry and an executor behind one façade: look an index up by
 //!   name, validate the request, execute the batch.
 //!
-//! Index *construction* is parallelized in the index crates themselves: see
-//! `BallTreeBuilder::build_parallel` and `BcTreeBuilder::build_parallel` (behind the
-//! `parallel` feature, which this crate enables).
+//! Index *construction* is parallelized in the tree crate itself: see
+//! `BallTreeBuilder::build_parallel` and `BcTreeBuilder::build_parallel`, which build
+//! the same tree for every thread count.
 //!
 //! ## Example
 //!
@@ -65,10 +65,8 @@ pub use remote::RemoteBatchResponse;
 pub use serve::{Engine, FrontPath};
 pub use sharded::{ShardedBatchResponse, ShardedExecutor};
 
-// Re-exported so engine users can build indexes in parallel without naming the tree
-// crates and their `parallel` feature explicitly.
-pub use p2h_balltree::{BallTree, BallTreeBuilder};
-pub use p2h_bctree::{BcTree, BcTreeBuilder};
+// Re-exported so engine users can build indexes without naming the tree crate.
+pub use p2h_balltree::{BallTree, BallTreeBuilder, BcTree, BcTreeBuilder};
 // Re-exported so sharded serving (`Engine::serve_sharded`, shard-group cold starts)
 // needs no direct `p2h-shard` dependency at call sites.
 pub use p2h_shard::{Partitioner, ShardIndexKind, ShardedIndex, ShardedIndexBuilder};

@@ -9,8 +9,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use p2h_balltree::BallTreeBuilder;
-use p2h_bctree::BcTreeBuilder;
+use p2h_balltree::{BallTreeBuilder, BcTreeBuilder};
 use p2h_core::{P2hIndex, SearchParams, GROUP_WIDTH};
 use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
 use p2h_engine::{BatchExecutor, BatchRequest};

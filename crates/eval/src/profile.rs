@@ -78,7 +78,7 @@ pub fn time_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p2h_bctree::BcTreeBuilder;
+    use p2h_balltree::BcTreeBuilder;
     use p2h_core::LinearScan;
     use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
 

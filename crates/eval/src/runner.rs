@@ -169,8 +169,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p2h_balltree::BallTreeBuilder;
-    use p2h_bctree::BcTreeBuilder;
+    use p2h_balltree::{BallTreeBuilder, BcTreeBuilder};
     use p2h_core::{LinearScan, PointSet};
     use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
 

@@ -414,7 +414,7 @@ mod tests {
 
     #[test]
     fn fh_index_is_heavier_than_tree_indexes() {
-        use p2h_bctree::BcTreeBuilder;
+        use p2h_balltree::BcTreeBuilder;
         let ps = dataset(3_000, 16);
         let fh = FhIndex::build(&ps, FhParams::new(4, 32, 4)).unwrap();
         let bc = BcTreeBuilder::new(100).build(&ps).unwrap();

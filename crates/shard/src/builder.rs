@@ -1,7 +1,6 @@
 //! Building a [`ShardedIndex`]: partition the points, build one index per shard.
 
-use p2h_balltree::BallTreeBuilder;
-use p2h_bctree::BcTreeBuilder;
+use p2h_balltree::{BallTreeBuilder, BcTreeBuilder};
 use p2h_core::{LinearScan, PointSet, Result};
 use p2h_store::LoadedIndex;
 
@@ -53,38 +52,25 @@ impl ShardedIndexBuilder {
         self
     }
 
-    /// Builds the sharded index, constructing every shard sequentially.
+    /// Builds the sharded index on the calling thread: `build_parallel(points, 1)`.
     ///
     /// # Errors
     ///
     /// Returns the partitioner's errors (zero shards, empty point set) and any
     /// per-shard build error.
     pub fn build(&self, points: &PointSet) -> Result<ShardedIndex> {
-        self.build_impl(points, None)
+        self.build_parallel(points, 1)
     }
 
-    /// Builds the sharded index, constructing every shard with the tree crates'
-    /// parallel builders (`threads` worker threads per shard build; `0` = one per
-    /// available CPU). Shards themselves are built one after another — the
-    /// parallelism lives inside each tree build, so peak memory stays at one shard's
-    /// working set. Trees built in parallel differ structurally from sequential
-    /// builds (documented by the tree crates) but are deterministic per thread count.
+    /// Builds the sharded index, constructing every shard's tree over `threads` worker
+    /// threads (`0` = one per available CPU). Shards themselves are built one after
+    /// another — the parallelism lives inside each tree build, so peak memory stays at
+    /// one shard's working set. The trees are identical for every thread count.
     ///
     /// # Errors
     ///
     /// Same errors as [`ShardedIndexBuilder::build`].
-    #[cfg(feature = "parallel")]
     pub fn build_parallel(&self, points: &PointSet, threads: usize) -> Result<ShardedIndex> {
-        self.build_impl(points, Some(threads))
-    }
-
-    fn build_impl(
-        &self,
-        points: &PointSet,
-        parallel_threads: Option<usize>,
-    ) -> Result<ShardedIndex> {
-        #[cfg(not(feature = "parallel"))]
-        let _ = parallel_threads;
         let id_maps = self.partitioner.assign(points.len())?;
         let dim = points.dim();
         let mut shards = Vec::with_capacity(id_maps.len());
@@ -101,22 +87,16 @@ impl ShardedIndexBuilder {
                 ShardIndexKind::LinearScan => {
                     LoadedIndex::LinearScan(LinearScan::new(shard_points))
                 }
-                ShardIndexKind::BallTree { leaf_size } => {
-                    let builder = BallTreeBuilder::new(leaf_size).with_seed(seed);
-                    LoadedIndex::BallTree(match parallel_threads {
-                        #[cfg(feature = "parallel")]
-                        Some(threads) => builder.build_parallel(&shard_points, threads)?,
-                        _ => builder.build(&shard_points)?,
-                    })
-                }
-                ShardIndexKind::BcTree { leaf_size } => {
-                    let builder = BcTreeBuilder::new(leaf_size).with_seed(seed);
-                    LoadedIndex::BcTree(match parallel_threads {
-                        #[cfg(feature = "parallel")]
-                        Some(threads) => builder.build_parallel(&shard_points, threads)?,
-                        _ => builder.build(&shard_points)?,
-                    })
-                }
+                ShardIndexKind::BallTree { leaf_size } => LoadedIndex::BallTree(
+                    BallTreeBuilder::new(leaf_size)
+                        .with_seed(seed)
+                        .build_parallel(&shard_points, threads)?,
+                ),
+                ShardIndexKind::BcTree { leaf_size } => LoadedIndex::BcTree(
+                    BcTreeBuilder::new(leaf_size)
+                        .with_seed(seed)
+                        .build_parallel(&shard_points, threads)?,
+                ),
             };
             shards.push(shard);
         }

@@ -64,7 +64,7 @@ pub enum IndexKind {
     LinearScan,
     /// [`p2h_balltree::BallTree`].
     BallTree,
-    /// [`p2h_bctree::BcTree`].
+    /// [`p2h_balltree::BcTree`].
     BcTree,
     /// [`p2h_hash::NhIndex`] — transform + norm-aligned projection tables.
     Nh,
@@ -212,8 +212,8 @@ pub enum StoreError {
         /// Absolute byte offset of the violation.
         offset: usize,
     },
-    /// The decoded arrays failed the index's structural validation (see
-    /// [`p2h_balltree::validate_structure`]), or a `PointSet` could not be formed.
+    /// The decoded arrays failed the index's structural validation (the trees'
+    /// `from_parts`), or a `PointSet` could not be formed.
     Invalid(p2h_core::Error),
     /// The store `MANIFEST` file is malformed.
     Manifest {

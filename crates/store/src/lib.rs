@@ -11,7 +11,7 @@
 //!   the tree arrays, and build metadata; every malformed input maps to a typed
 //!   [`StoreError`], never a panic (see `docs/SNAPSHOT_FORMAT.md` for the byte layout),
 //! * the [`Snapshot`] trait — implemented by [`p2h_balltree::BallTree`],
-//!   [`p2h_bctree::BcTree`], [`p2h_core::LinearScan`], and the hashing baselines
+//!   [`p2h_balltree::BcTree`], [`p2h_core::LinearScan`], and the hashing baselines
 //!   [`p2h_hash::NhIndex`] / [`p2h_hash::FhIndex`] (their sampled transforms and
 //!   projection matrices get their own sections); arrays are stored verbatim, so a
 //!   loaded index returns **bit-identical** search results to the original on the

@@ -11,8 +11,7 @@
 use std::fs;
 use std::path::Path;
 
-use p2h_balltree::{BallTree, Node};
-use p2h_bctree::{BcTree, BcTreeParts, LeafPointAux};
+use p2h_balltree::{BallTree, BcTree, BcTreeParts, LeafPointAux, Node};
 use p2h_core::{kernels, LinearScan, P2hIndex, PointSet, Scalar, VecBuf};
 use p2h_hash::{FhIndex, FhParams, NhIndex, NhParams, ProjectionTables, QuadraticTransform};
 
@@ -216,18 +215,30 @@ fn read_points(
     Ok(points)
 }
 
-fn read_ids(
-    reader: &mut SnapshotReader<'_>,
-    meta: &SnapshotMeta,
-    src: SnapshotSource<'_>,
-) -> StoreResult<VecBuf<u32>> {
-    let mut payload = reader.section(tags::IDS)?;
-    let ids = payload.get_u32_buf(meta.count, src, "IDS payload")?;
-    payload.finish()?;
-    Ok(ids)
-}
-
-fn write_nodes(payload: &mut Vec<u8>, nodes: &[Node]) {
+/// Starts a tree snapshot with the sections both tree kinds store: `META`, `PNTS`,
+/// `IDS`, `NODE` and `CNTR`.
+fn tree_writer(
+    kind: IndexKind,
+    points: &PointSet,
+    ids: &[u32],
+    nodes: &[Node],
+    centers: &[Scalar],
+    leaf_size: usize,
+    build_seed: u64,
+) -> SnapshotWriter {
+    let meta = SnapshotMeta {
+        dim: points.dim(),
+        count: points.len(),
+        node_count: nodes.len(),
+        leaf_size,
+        build_seed,
+        note: provenance_note(),
+    };
+    let mut writer = SnapshotWriter::new(kind);
+    meta.write(writer.section(tags::META));
+    wire::put_f32_slice(writer.section(tags::PNTS), points.as_flat());
+    wire::put_u32_slice(writer.section(tags::IDS), ids);
+    let payload = writer.section(tags::NODE);
     payload.reserve(nodes.len() * 24);
     for node in nodes {
         wire::put_u32(payload, node.center_offset);
@@ -237,9 +248,33 @@ fn write_nodes(payload: &mut Vec<u8>, nodes: &[Node]) {
         wire::put_u32(payload, node.left);
         wire::put_u32(payload, node.right);
     }
+    wire::put_f32_slice(writer.section(tags::CNTR), centers);
+    writer
 }
 
-fn read_nodes(reader: &mut SnapshotReader<'_>, meta: &SnapshotMeta) -> StoreResult<Vec<Node>> {
+/// The sections both tree kinds store, as [`read_tree_sections`] returns them.
+struct TreeSections {
+    meta: SnapshotMeta,
+    points: PointSet,
+    ids: VecBuf<u32>,
+    nodes: Vec<Node>,
+    centers: VecBuf<Scalar>,
+}
+
+/// Reads the sections [`tree_writer`] writes, leaving `reader` at the kind's own
+/// sections. Lengths are checked here; the arrays' structure is checked by the trees'
+/// `from_parts`.
+fn read_tree_sections(
+    reader: &mut SnapshotReader<'_>,
+    src: SnapshotSource<'_>,
+) -> StoreResult<TreeSections> {
+    let meta = SnapshotMeta::read(reader.section(tags::META)?)?;
+    let points = read_points(reader, &meta, src)?;
+
+    let mut payload = reader.section(tags::IDS)?;
+    let ids = payload.get_u32_buf(meta.count, src, "IDS payload")?;
+    payload.finish()?;
+
     let mut payload = reader.section(tags::NODE)?;
     let mut nodes = Vec::with_capacity(meta.node_count.min(payload.len() / 24));
     for _ in 0..meta.node_count {
@@ -253,19 +288,12 @@ fn read_nodes(reader: &mut SnapshotReader<'_>, meta: &SnapshotMeta) -> StoreResu
         });
     }
     payload.finish()?;
-    Ok(nodes)
-}
 
-fn read_centers(
-    reader: &mut SnapshotReader<'_>,
-    meta: &SnapshotMeta,
-    src: SnapshotSource<'_>,
-) -> StoreResult<VecBuf<Scalar>> {
     let scalars = checked_scalars(meta.dim, meta.node_count)?;
     let mut payload = reader.section(tags::CNTR)?;
     let centers = payload.get_f32_buf(scalars, src, "CNTR payload")?;
     payload.finish()?;
-    Ok(centers)
+    Ok(TreeSections { meta, points, ids, nodes, centers })
 }
 
 impl Snapshot for LinearScan {
@@ -302,32 +330,24 @@ impl Snapshot for BallTree {
     const KIND: IndexKind = IndexKind::BallTree;
 
     fn encode_snapshot(&self) -> Vec<u8> {
-        let meta = SnapshotMeta {
-            dim: self.points().dim(),
-            count: self.points().len(),
-            node_count: self.nodes().len(),
-            leaf_size: self.leaf_size(),
-            build_seed: self.build_seed(),
-            note: provenance_note(),
-        };
-        let mut writer = SnapshotWriter::new(Self::KIND);
-        meta.write(writer.section(tags::META));
-        wire::put_f32_slice(writer.section(tags::PNTS), self.points().as_flat());
-        wire::put_u32_slice(writer.section(tags::IDS), self.original_ids());
-        write_nodes(writer.section(tags::NODE), self.nodes());
-        wire::put_f32_slice(writer.section(tags::CNTR), self.centers());
-        writer.finish()
+        tree_writer(
+            Self::KIND,
+            self.points(),
+            self.original_ids(),
+            self.nodes(),
+            self.centers(),
+            self.leaf_size(),
+            self.build_seed(),
+        )
+        .finish()
     }
 
     fn decode_snapshot_src(src: SnapshotSource<'_>) -> StoreResult<Self> {
         let mut reader = SnapshotReader::new(src.bytes())?;
         let src = src.for_version(reader.version);
         expect_kind(&reader, Self::KIND)?;
-        let meta = SnapshotMeta::read(reader.section(tags::META)?)?;
-        let points = read_points(&mut reader, &meta, src)?;
-        let ids = read_ids(&mut reader, &meta, src)?;
-        let nodes = read_nodes(&mut reader, &meta)?;
-        let centers = read_centers(&mut reader, &meta, src)?;
+        let TreeSections { meta, points, ids, nodes, centers } =
+            read_tree_sections(&mut reader, src)?;
         reader.finish()?;
         // `from_parts` runs the full structural validation (ranges, partition,
         // permutation, adjacent sibling centers) and never panics on bad arrays.
@@ -339,20 +359,15 @@ impl Snapshot for BcTree {
     const KIND: IndexKind = IndexKind::BcTree;
 
     fn encode_snapshot(&self) -> Vec<u8> {
-        let meta = SnapshotMeta {
-            dim: self.points().dim(),
-            count: self.points().len(),
-            node_count: self.nodes().len(),
-            leaf_size: self.leaf_size(),
-            build_seed: self.build_seed(),
-            note: provenance_note(),
-        };
-        let mut writer = SnapshotWriter::new(Self::KIND);
-        meta.write(writer.section(tags::META));
-        wire::put_f32_slice(writer.section(tags::PNTS), self.points().as_flat());
-        wire::put_u32_slice(writer.section(tags::IDS), self.original_ids());
-        write_nodes(writer.section(tags::NODE), self.nodes());
-        wire::put_f32_slice(writer.section(tags::CNTR), self.centers());
+        let mut writer = tree_writer(
+            Self::KIND,
+            self.points(),
+            self.original_ids(),
+            self.nodes(),
+            self.centers(),
+            self.leaf_size(),
+            self.build_seed(),
+        );
         wire::put_f32_slice(writer.section(tags::NORM), self.center_norms());
         let aux_payload = writer.section(tags::AUXD);
         aux_payload.reserve(self.leaf_aux().len() * 12);
@@ -368,11 +383,8 @@ impl Snapshot for BcTree {
         let mut reader = SnapshotReader::new(src.bytes())?;
         let src = src.for_version(reader.version);
         expect_kind(&reader, Self::KIND)?;
-        let meta = SnapshotMeta::read(reader.section(tags::META)?)?;
-        let points = read_points(&mut reader, &meta, src)?;
-        let ids = read_ids(&mut reader, &meta, src)?;
-        let nodes = read_nodes(&mut reader, &meta)?;
-        let centers = read_centers(&mut reader, &meta, src)?;
+        let TreeSections { meta, points, ids, nodes, centers } =
+            read_tree_sections(&mut reader, src)?;
         let mut payload = reader.section(tags::NORM)?;
         let center_norms = payload.get_f32_buf(meta.node_count, src, "NORM payload")?;
         payload.finish()?;

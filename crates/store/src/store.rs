@@ -37,8 +37,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use p2h_balltree::BallTree;
-use p2h_bctree::BcTree;
+use p2h_balltree::{BallTree, BcTree};
 use p2h_core::{LinearScan, P2hIndex, VecBuf};
 use p2h_hash::{FhIndex, NhIndex};
 

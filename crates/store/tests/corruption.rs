@@ -6,8 +6,7 @@
 //! `dim × count` overflow, plus the container-specific cases (version, kind, CRC,
 //! section framing).
 
-use p2h_balltree::{BallTree, BallTreeBuilder};
-use p2h_bctree::{BcTree, BcTreeBuilder};
+use p2h_balltree::{BallTree, BallTreeBuilder, BcTree, BcTreeBuilder};
 use p2h_core::{LinearScan, PointSet, Scalar};
 use p2h_data::{DataDistribution, SyntheticDataset};
 use p2h_store::format::HEADER_LEN;

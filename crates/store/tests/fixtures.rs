@@ -1,19 +1,24 @@
-//! Compatibility fixtures: bytes written by commit `69f52f3`, the last one whose checksum
-//! was the byte-at-a-time loop in `p2h-store`. `tests/fixtures/` holds one BC-Tree (40
+//! Compatibility fixtures. `tests/fixtures/` holds bytes written by commit `69f52f3`, the
+//! last one whose checksum was the byte-at-a-time loop in `p2h-store`: one BC-Tree (40
 //! points, 17 augmented dimensions) as a v2 and as a v1 snapshot, and a WAL segment with
-//! an insert batch and a delete. Whichever arm of `p2h_core::kernels::crc32` runs must
-//! accept every checksum in them, write the same bytes back, and refuse a flipped bit
-//! with the same typed error — under both loaders.
+//! an insert batch and a delete. It also holds a v2 Ball-Tree snapshot (40 points, 17
+//! augmented dimensions, `N0` 8) written by commit `c23f8a1`, the last one with a
+//! Ball-Tree builder of its own (centroid centers, unsorted leaves). Whichever arm of
+//! `p2h_core::kernels::crc32` runs must accept every checksum in them, write the same
+//! bytes back, and refuse a flipped bit with the same typed error — under both loaders —
+//! and the Ball-Tree must still answer exactly like a linear scan.
 //!
 //! One `#[test]`: `force_scalar` is process-global.
 
 mod common;
 
+use std::fmt::Debug;
 use std::path::{Path, PathBuf};
 
 use common::TestDir;
-use p2h_bctree::BcTree;
-use p2h_core::{kernels, P2hIndex};
+use p2h_balltree::{BallTree, BcTree};
+use p2h_core::{kernels, LinearScan, P2hIndex, PointSet, SearchResult};
+use p2h_data::{generate_queries, QueryDistribution};
 use p2h_store::format::{SnapshotSource, SnapshotWriter, HEADER_LEN, SECTION_HEADER_LEN};
 use p2h_store::wal::WAL_HEADER_LEN;
 use p2h_store::{
@@ -23,6 +28,7 @@ use p2h_store::{
 
 const SNAPSHOT_V1: &[u8] = include_bytes!("fixtures/bctree_v1.p2hs");
 const SNAPSHOT_V2: &[u8] = include_bytes!("fixtures/bctree_v2.p2hs");
+const BALLTREE_V2: &[u8] = include_bytes!("fixtures/balltree_v2.p2hs");
 const WAL_SEGMENT: &[u8] = include_bytes!("fixtures/segment.wal");
 
 fn fixture(name: &str) -> PathBuf {
@@ -54,50 +60,100 @@ fn meta_and_rest(bytes: &[u8]) -> (&[u8], Vec<&[u8]>) {
     (sections.next().unwrap(), sections.collect())
 }
 
-fn snapshots_load_reencode_and_refuse_a_flipped_bit() {
-    let (fixture_meta, fixture_rest) = meta_and_rest(SNAPSHOT_V2);
+/// Loads every file of `names` under both loaders and checks that a save writes `v2`
+/// back (`META` aside, unless this process runs the writer's kernel backend), and that
+/// one flipped payload bit in each section of `flip` is refused with exactly
+/// `ChecksumMismatch` from either source. Returns the trees loaded.
+fn load_reencode_and_refuse_flips<T: Snapshot + Debug>(
+    names: &[&str],
+    v2: &[u8],
+    flip: [[u8; 4]; 3],
+) -> Vec<T> {
+    let (fixture_meta, fixture_rest) = meta_and_rest(v2);
     let same_backend = String::from_utf8_lossy(fixture_meta)
         .contains(&format!("`{}` backend", kernels::active_backend().label()));
+    let mut trees = Vec::new();
     for mode in [LoadMode::Copy, LoadMode::Mmap] {
-        for name in ["bctree_v2.p2hs", "bctree_v1.p2hs"] {
-            let tree = BcTree::load_snapshot_with(&fixture(name), mode).unwrap();
-            assert_eq!((tree.len(), tree.dim()), (40, 17), "{name}, {mode:?}");
-            // Both files hold the same tree, and a save writes the current container.
+        for name in names {
+            let tree = T::load_snapshot_with(&fixture(name), mode).unwrap();
+            // All files of `names` hold the same tree, and a save writes the current
+            // container.
             let saved = tree.encode_snapshot();
             assert_eq!(meta_and_rest(&saved).1, fixture_rest, "{name}, {mode:?}");
             if same_backend {
-                assert_eq!(saved, SNAPSHOT_V2, "{name}, {mode:?}");
+                assert_eq!(saved, v2, "{name}, {mode:?}");
             }
+            trees.push(tree);
         }
     }
 
-    // The v1 container of the same sections: the writer's checksums, byte for byte.
-    let sections = v2_sections(SNAPSHOT_V2);
-    let mut v1 = SnapshotWriter::with_version(IndexKind::BcTree, FORMAT_VERSION_V1);
-    for &(tag, start, len) in &sections {
-        v1.section(tag).extend_from_slice(&SNAPSHOT_V2[start..start + len]);
-    }
-    assert_eq!(v1.finish(), SNAPSHOT_V1);
-
-    // One flipped payload bit in a section served by either arm: `META` (116 bytes) and
-    // `PNTS` (2 720) are above the folding arm's minimum, `NORM` (60) is below it.
-    for tag in [*b"META", *b"PNTS", *b"NORM"] {
+    let sections = v2_sections(v2);
+    for tag in flip {
         let &(_, start, len) = sections.iter().find(|s| s.0 == tag).unwrap();
-        let mut flipped = SNAPSHOT_V2.to_vec();
+        let mut flipped = v2.to_vec();
         flipped[start + len / 2] ^= 0x04;
         let mapped = MmapRegion::from_bytes(flipped.clone());
         for src in [SnapshotSource::Bytes(&flipped), SnapshotSource::Mapped(&mapped)] {
-            match BcTree::decode_snapshot_src(src) {
+            match T::decode_snapshot_src(src) {
                 Err(StoreError::ChecksumMismatch { section, stored, computed }) => {
                     assert_eq!(section, tag);
                     let header = start - SECTION_HEADER_LEN;
-                    assert_eq!(stored.to_le_bytes(), SNAPSHOT_V2[header + 12..header + 16]);
+                    assert_eq!(stored.to_le_bytes(), v2[header + 12..header + 16]);
                     assert_ne!(computed, stored);
                 }
                 other => panic!("flipped bit in {tag:?}: expected ChecksumMismatch, got {other:?}"),
             }
         }
     }
+    trees
+}
+
+/// Checks a loaded Ball-Tree against a linear scan over its points in original order:
+/// the same ids and the same distance bits.
+fn answers_like_linear_scan(tree: &BallTree) {
+    let dim = tree.dim();
+    let mut rows = vec![0.0; tree.len() * dim];
+    for (pos, &id) in tree.original_ids().iter().enumerate() {
+        rows[id as usize * dim..][..dim].copy_from_slice(tree.points().point(pos));
+    }
+    let scan = LinearScan::new(PointSet::from_flat(dim, rows).unwrap());
+    let queries = generate_queries(scan.points(), 8, QueryDistribution::DataDifference, 5).unwrap();
+    let bits = |r: SearchResult| -> Vec<(usize, u32)> {
+        r.neighbors.iter().map(|n| (n.index, n.distance.to_bits())).collect()
+    };
+    for q in &queries {
+        for k in [1, 5, 40] {
+            assert_eq!(bits(tree.search_exact(q, k)), bits(scan.search_exact(q, k)), "k={k}");
+        }
+    }
+}
+
+fn snapshots_load_reencode_and_refuse_a_flipped_bit() {
+    // One flipped payload bit in a section served by either arm: `META` (116 bytes),
+    // `PNTS` (2 720) and the Ball-Tree's `NODE` (312) are above the folding arm's
+    // minimum, `NORM` (60) is below it.
+    for tree in load_reencode_and_refuse_flips::<BcTree>(
+        &["bctree_v2.p2hs", "bctree_v1.p2hs"],
+        SNAPSHOT_V2,
+        [*b"META", *b"PNTS", *b"NORM"],
+    ) {
+        assert_eq!((tree.len(), tree.dim()), (40, 17));
+    }
+    for tree in load_reencode_and_refuse_flips::<BallTree>(
+        &["balltree_v2.p2hs"],
+        BALLTREE_V2,
+        [*b"META", *b"PNTS", *b"NODE"],
+    ) {
+        assert_eq!((tree.len(), tree.dim()), (40, 17));
+        answers_like_linear_scan(&tree);
+    }
+
+    // The v1 container of the same sections: the writer's checksums, byte for byte.
+    let mut v1 = SnapshotWriter::with_version(IndexKind::BcTree, FORMAT_VERSION_V1);
+    for (tag, start, len) in v2_sections(SNAPSHOT_V2) {
+        v1.section(tag).extend_from_slice(&SNAPSHOT_V2[start..start + len]);
+    }
+    assert_eq!(v1.finish(), SNAPSHOT_V1);
 }
 
 fn wal_replays_reencodes_and_refuses_a_flipped_bit(dir: &Path) {

@@ -8,8 +8,7 @@ mod common;
 use common::TestDir;
 use proptest::prelude::*;
 
-use p2h_balltree::{BallTree, BallTreeBuilder};
-use p2h_bctree::{BcTree, BcTreeBuilder};
+use p2h_balltree::{BallTree, BallTreeBuilder, BcTree, BcTreeBuilder};
 use p2h_core::{HyperplaneQuery, LinearScan, P2hIndex, PointSet, SearchParams};
 use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
 use p2h_hash::{FhIndex, FhParams, NhIndex, NhParams};

@@ -11,8 +11,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`core`] | `p2h-core` | [`PointSet`], [`HyperplaneQuery`], [`P2hIndex`], [`LinearScan`], top-k, distances |
-//! | [`balltree`] | `p2h-balltree` | [`BallTree`], [`BallTreeBuilder`] (Section III) |
-//! | [`bctree`] | `p2h-bctree` | [`BcTree`], [`BcTreeBuilder`], [`BcTreeVariant`] (Section IV) |
+//! | [`balltree`] | `p2h-balltree` | [`BallTree`], [`BallTreeBuilder`] (Section III); [`BcTree`], [`BcTreeBuilder`], [`BcTreeVariant`] (Section IV) |
 //! | [`hash`] | `p2h-hash` | [`NhIndex`], [`FhIndex`] baselines (Huang et al., SIGMOD'21) |
 //! | [`data`] | `p2h-data` | synthetic data sets, query generation, ground truth, IO |
 //! | [`eval`] | `p2h-eval` | recall/time evaluation (sequential + parallel), sweeps, time profiles, reports |
@@ -61,8 +60,8 @@
 //!     DataDistribution::GaussianClusters { clusters: 4, std_dev: 1.5 }, 1,
 //! ).generate().unwrap();
 //!
-//! // Parallel recursive construction (feature `parallel`, enabled by the facade);
-//! // deterministic for a given seed regardless of thread count.
+//! // Parallel recursive construction: the same tree for a given seed at every
+//! // thread count.
 //! let tree = BcTreeBuilder::new(64).build_parallel(&points, 0).unwrap();
 //!
 //! let engine = Engine::new(0); // 0 = one worker thread per CPU
@@ -323,7 +322,6 @@
 #![warn(rust_2018_idioms)]
 
 pub use p2h_balltree as balltree;
-pub use p2h_bctree as bctree;
 pub use p2h_core as core;
 pub use p2h_data as data;
 pub use p2h_engine as engine;
@@ -336,8 +334,7 @@ pub use p2h_obs as obs;
 pub use p2h_shard as shard;
 pub use p2h_store as store;
 
-pub use p2h_balltree::{BallTree, BallTreeBuilder};
-pub use p2h_bctree::{BcTree, BcTreeBuilder, BcTreeVariant};
+pub use p2h_balltree::{BallTree, BallTreeBuilder, BcTree, BcTreeBuilder, BcTreeVariant};
 pub use p2h_core::{
     distance, BranchPreference, Error, HyperplaneQuery, LinearScan, Neighbor, P2hIndex, PointSet,
     Result, Scalar, SearchParams, SearchResult, SearchStats, TopKCollector,
