@@ -23,9 +23,7 @@ use p2h_core::{
 
 use crate::bounds::{point_ball_bound, point_cone_bound, query_decomposition};
 use crate::node::Node;
-use crate::traverse::{
-    first_rows, search_group, search_one, Selection, TraversalRules, TreeArrays,
-};
+use crate::traverse::{search_group, search_one, Selection, TraversalRules, TreeArrays};
 use crate::tree::{BcTree, LeafPointAux};
 
 /// Which point-level lower bounds the search uses (the ablation of Figure 8).
@@ -133,7 +131,7 @@ impl TraversalRules for BcTreeRules<'_> {
         let strip_start = rows.start;
         let aux = &self.aux[rows];
         let mut bounds = [0.0; LEAF_STRIP];
-        let mut selection = Selection { mask: first_rows(aux.len()), leaf_done: false };
+        let mut selection = Selection { mask: kernels::first_rows(aux.len()), leaf_done: false };
         if self.variant.uses_ball_bound() {
             for (bound, aux) in bounds.iter_mut().zip(aux) {
                 *bound = point_ball_bound(leaf.abs_ip, leaf.norm, aux.radius);
@@ -142,7 +140,7 @@ impl TraversalRules for BcTreeRules<'_> {
             if beyond != 0 {
                 let cut = beyond.trailing_zeros() as usize;
                 stats.pruned_by_ball_bound += (leaf_end - (strip_start + cut)) as u64;
-                selection = Selection { mask: first_rows(cut), leaf_done: true };
+                selection = Selection { mask: kernels::first_rows(cut), leaf_done: true };
             }
         }
         if self.variant.uses_cone_bound() {

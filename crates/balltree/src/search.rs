@@ -16,9 +16,7 @@ use p2h_core::{
 };
 
 use crate::node::Node;
-use crate::traverse::{
-    first_rows, search_group, search_one, Selection, TraversalRules, TreeArrays,
-};
+use crate::traverse::{search_group, search_one, Excluding, Selection, TraversalRules, TreeArrays};
 use crate::tree::BallTree;
 
 /// Paired child dots, plain leaf scan.
@@ -55,7 +53,7 @@ impl TraversalRules for BallTreeRules {
         _lambda: Scalar,
         _stats: &mut SearchStats,
     ) -> Selection {
-        Selection { mask: first_rows(rows.len()), leaf_done: false }
+        Selection { mask: kernels::first_rows(rows.len()), leaf_done: false }
     }
 }
 
@@ -97,6 +95,18 @@ impl P2hIndex for BallTree {
         out: &mut Vec<SearchResult>,
     ) {
         search_group(&self.tree.arrays(), &BallTreeRules, queries, params, scratch, out);
+    }
+
+    fn search_group_excluding(
+        &self,
+        queries: &[HyperplaneQuery],
+        params: &[&SearchParams],
+        excluded: &[u64],
+        scratch: &mut QueryScratch,
+        out: &mut Vec<SearchResult>,
+    ) {
+        let rules = Excluding { rules: BallTreeRules, excluded };
+        search_group(&self.tree.arrays(), &rules, queries, params, scratch, out);
     }
 }
 

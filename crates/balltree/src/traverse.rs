@@ -31,8 +31,8 @@ use std::ops::Range;
 use std::time::Instant;
 
 use p2h_core::{
-    kernels, BranchPreference, HyperplaneQuery, QueryScratch, Scalar, SearchParams, SearchResult,
-    SearchStats, TopKCollector, TraversalFrame, GROUP_WIDTH, LEAF_STRIP,
+    is_excluded, kernels, BranchPreference, HyperplaneQuery, QueryScratch, Scalar, SearchParams,
+    SearchResult, SearchStats, TopKCollector, TraversalFrame, GROUP_WIDTH, LEAF_STRIP,
 };
 
 use crate::bound::node_ball_bound;
@@ -74,17 +74,6 @@ pub struct Selection {
     pub leaf_done: bool,
 }
 
-/// The lowest `n` bits (`n` ≤ 64): the mask of a strip's first `n` rows.
-#[inline]
-pub fn first_rows(n: usize) -> u64 {
-    debug_assert!(n <= LEAF_STRIP);
-    if n == LEAF_STRIP {
-        u64::MAX
-    } else {
-        (1 << n) - 1
-    }
-}
-
 /// The two decisions in which the trees differ.
 pub trait TraversalRules {
     /// What a member precomputes once per visited leaf for [`Self::select`].
@@ -113,6 +102,62 @@ pub trait TraversalRules {
         lambda: Scalar,
         stats: &mut SearchStats,
     ) -> Selection;
+
+    /// Whether the point with original index `id`, verified and within reach of a
+    /// member's top-k, may be offered to it. Every point may unless the search excludes
+    /// some ([`Excluding`]); this default compiles away.
+    #[inline]
+    fn admits(&self, _id: u32) -> bool {
+        true
+    }
+}
+
+/// Rules `R` with the points whose bit is set in `excluded` kept out of every collector
+/// (see [`p2h_core::P2hIndex::search_group_excluding`]). Bounds and verification are
+/// `R`'s, so an excluded point costs what it costs `R`; it just never takes a top-k
+/// slot, and a member's `λ` is that of its surviving neighbors.
+pub struct Excluding<'a, R> {
+    /// The tree's own rules.
+    pub rules: R,
+    /// Bit `i` set = the point with original index `i` is excluded.
+    pub excluded: &'a [u64],
+}
+
+impl<R: TraversalRules> TraversalRules for Excluding<'_, R> {
+    type LeafState = R::LeafState;
+
+    #[inline]
+    fn child_ips(
+        &self,
+        tree: &TreeArrays<'_>,
+        q: &[Scalar],
+        family: [&Node; 3],
+        ip: Scalar,
+    ) -> (Scalar, Scalar, u64) {
+        self.rules.child_ips(tree, q, family, ip)
+    }
+
+    #[inline]
+    fn enter_leaf(&self, node_id: u32, ip: Scalar, query_norm: Scalar) -> Self::LeafState {
+        self.rules.enter_leaf(node_id, ip, query_norm)
+    }
+
+    #[inline]
+    fn select(
+        &self,
+        state: &Self::LeafState,
+        rows: Range<usize>,
+        leaf_end: usize,
+        lambda: Scalar,
+        stats: &mut SearchStats,
+    ) -> Selection {
+        self.rules.select(state, rows, leaf_end, lambda, stats)
+    }
+
+    #[inline]
+    fn admits(&self, id: u32) -> bool {
+        !is_excluded(self.excluded, id as usize)
+    }
 }
 
 /// One query of a group, as the loop reads it.
@@ -280,7 +325,8 @@ fn traverse<const W: usize, R: TraversalRules>(
 
                     // Pass 3: only rows that can still enter a member's top-k reach
                     // `offer` (a `λ` gone stale within the strip lets more through,
-                    // and `offer` decides those as it always did).
+                    // and `offer` decides those as it always did), and only if the
+                    // rules admit them.
                     let verified = u64::from(mask.count_ones());
                     for (&m, distances) in class[..n].iter().zip(tile.iter()) {
                         let collector = &mut collectors[m];
@@ -289,7 +335,9 @@ fn traverse<const W: usize, R: TraversalRules>(
                         let mut entering = mask & !too_far;
                         while entering != 0 {
                             let row = kernels::pop_row(&mut entering);
-                            collector.offer(ids[row] as usize, distances[row]);
+                            if rules.admits(ids[row]) {
+                                collector.offer(ids[row] as usize, distances[row]);
+                            }
                         }
                         stats[m].inner_products += verified;
                         stats[m].candidates_verified += verified;

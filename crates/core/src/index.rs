@@ -314,10 +314,55 @@ pub trait P2hIndex: Send + Sync {
         }
     }
 
+    /// [`P2hIndex::search_group_with_scratch`] with some points taken out: bit `i % 64`
+    /// of `excluded[i / 64]` set means the point at index `i` may not appear in any
+    /// answer (indexes past the end of the bitset are not excluded). An exact member's
+    /// neighbors are the top-`k` of the points left, identical in ids and distance bits
+    /// to searching an index over just those points that kept their ids.
+    ///
+    /// The default answers each member alone by overfetching: it searches for `k` plus
+    /// the excluded count, drops the excluded neighbors and keeps the first `k`. The
+    /// `k` best survivors always lie within that many best points overall, so an exact
+    /// answer loses nothing; the work counters are those of the wider search. The
+    /// Ball-Tree overrides it: the group descends once with each member's own `k`, and
+    /// an excluded point is dropped after it is verified, before it reaches a
+    /// collector, so it never takes a top-k slot or loosens a member's pruning
+    /// threshold. A budgeted member's answer is approximate, as always, and may differ
+    /// between the two.
+    ///
+    /// # Panics
+    ///
+    /// If `queries` and `params` differ in length.
+    fn search_group_excluding(
+        &self,
+        queries: &[HyperplaneQuery],
+        params: &[&SearchParams],
+        excluded: &[u64],
+        scratch: &mut QueryScratch,
+        out: &mut Vec<SearchResult>,
+    ) {
+        assert_eq!(queries.len(), params.len(), "one SearchParams per group member");
+        let count: usize = excluded.iter().map(|word| word.count_ones() as usize).sum();
+        for (query, params) in queries.iter().zip(params) {
+            let wide = SearchParams { k: params.k.saturating_add(count), ..(*params).clone() };
+            let mut result = self.search_with_scratch(query, &wide, scratch);
+            result.neighbors.retain(|n| !is_excluded(excluded, n.index));
+            result.neighbors.truncate(params.k);
+            out.push(result);
+        }
+    }
+
     /// Convenience wrapper: exact top-k search with default parameters.
     fn search_exact(&self, query: &HyperplaneQuery, k: usize) -> SearchResult {
         self.search(query, &SearchParams::exact(k))
     }
+}
+
+/// Whether bit `index` is set in the bitset `excluded` (see
+/// [`P2hIndex::search_group_excluding`]); bits past its end are clear.
+#[inline]
+pub fn is_excluded(excluded: &[u64], index: usize) -> bool {
+    excluded.get(index / 64).is_some_and(|word| word >> (index % 64) & 1 == 1)
 }
 
 #[cfg(test)]

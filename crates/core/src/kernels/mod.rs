@@ -256,6 +256,17 @@ pub fn pop_row(mask: &mut u64) -> usize {
     row
 }
 
+/// The lowest `n` bits (`n` ≤ 64): the mask of a strip's first `n` rows.
+#[inline]
+pub fn first_rows(n: usize) -> u64 {
+    debug_assert!(n <= LEAF_STRIP);
+    if n == LEAF_STRIP {
+        u64::MAX
+    } else {
+        (1 << n) - 1
+    }
+}
+
 /// Distances of the selected rows of one leaf strip to each of a few queries:
 /// `out[i][r] = |⟨queries[i], rows[r·dim .. (r+1)·dim]⟩|` for every set bit `r` of
 /// `mask`; the other entries of `out` are left as they were.

@@ -1,13 +1,10 @@
 //! The `Engine` façade: registry + executor + request validation + observability.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use p2h_core::{Error, P2hIndex, QueryScratch, Result, Scalar, SearchResult, SearchStats};
+use p2h_core::{Error, P2hIndex, Result, Scalar, SearchResult};
 use p2h_live::{LiveError, LiveIndex};
 use p2h_obs::trace::{from_env, QueryTrace, TraceSink};
-
-use crate::batch::LatencyHistogram;
 
 use crate::batch::{BatchRequest, BatchResponse};
 use crate::executor::BatchExecutor;
@@ -241,6 +238,7 @@ impl Engine {
         self.serve_named(index.as_ref(), index.name(), request, "batch")
     }
 
+    /// Validate → plan-trace → execute → record → write-trace.
     fn serve_named(
         &self,
         index: &dyn P2hIndex,
@@ -248,17 +246,23 @@ impl Engine {
         request: &BatchRequest,
         path: &str,
     ) -> Result<BatchResponse> {
-        validate_request(index, request)?;
-        let trace = plan_trace(request);
-        let response = match &trace {
-            Some(plan) => self.executor.execute(index, &plan.request),
-            None => self.executor.execute(index, request),
-        };
+        let (trace, response) = execute_planned(&self.executor, index, request)?;
+        Ok(self.record(label, path, trace.as_ref(), response))
+    }
+
+    /// Record → write-trace: the steps that no longer read the index.
+    fn record(
+        &self,
+        label: &str,
+        path: &str,
+        trace: Option<&TracePlan>,
+        response: BatchResponse,
+    ) -> BatchResponse {
         self.metrics.record_batch(label, &response);
-        if let Some(plan) = &trace {
+        if let Some(plan) = trace {
             write_traces(plan, label, path, &response.results, &response.latencies_ns);
         }
-        Ok(response)
+        response
     }
 
     /// Serves a batch against the *sharded* index registered under `index_name`,
@@ -358,9 +362,11 @@ impl Engine {
 
     /// Serves a batch against the *live* index registered under `index_name`. Same
     /// validation, metrics, and tracing as [`Engine::serve`]; answers are
-    /// bit-identical to a full rebuild containing the same live points. Queries run
-    /// sequentially on the calling thread (the live tier's read lock is held per
-    /// query, so mutations interleave between queries, never inside one).
+    /// bit-identical to a full rebuild containing the same live points. The batch runs
+    /// on the calling thread under one read lock of the live tier
+    /// ([`LiveIndex::read_view`]), so every query of a batch sees the same live state
+    /// and mutations interleave between batches, never inside one. Runs of up to
+    /// eight exact queries are answered as one group, as [`Engine::serve`] does.
     ///
     /// # Errors
     ///
@@ -381,34 +387,13 @@ impl Engine {
         request: &BatchRequest,
         path: &str,
     ) -> Result<BatchResponse> {
-        validate_queries(index.dim(), request)?;
-        let trace = plan_trace(request);
-        let effective = trace.as_ref().map_or(request, |plan| &plan.request);
-        let wall_start = Instant::now();
-        let mut scratch = QueryScratch::new();
-        let mut results = Vec::with_capacity(effective.queries.len());
-        let mut latencies_ns = Vec::with_capacity(effective.queries.len());
-        let mut total_stats = SearchStats::default();
-        for (position, query) in effective.queries.iter().enumerate() {
-            let params = effective.params_for(position);
-            let query_start = Instant::now();
-            let result = index.search_with_scratch(query, params, &mut scratch)?;
-            latencies_ns.push(query_start.elapsed().as_nanos() as u64);
-            total_stats.merge(&result.stats);
-            results.push(result);
-        }
-        let response = BatchResponse {
-            latency: LatencyHistogram::from_latencies(latencies_ns.iter().copied()),
-            results,
-            latencies_ns,
-            total_stats,
-            wall_time_ns: wall_start.elapsed().as_nanos() as u64,
-        };
-        self.metrics.record_batch(label, &response);
-        if let Some(plan) = &trace {
-            write_traces(plan, label, path, &response.results, &response.latencies_ns);
-        }
-        Ok(response)
+        // The background compactor and the writers own the other cores: the calling
+        // thread is the one worker.
+        let view = index.read_view();
+        let (trace, response) = execute_planned(&BatchExecutor::new(1), view.as_index(), request)?;
+        // Writers wait on the read lock: release it before the metrics and the trace I/O.
+        drop(view);
+        Ok(self.record(label, path, trace.as_ref(), response))
     }
 }
 
@@ -492,15 +477,22 @@ pub(crate) fn write_traces(
     }
 }
 
+/// Validate → plan-trace → execute: the steps that read the index.
+fn execute_planned(
+    executor: &BatchExecutor,
+    index: &dyn P2hIndex,
+    request: &BatchRequest,
+) -> Result<(Option<TracePlan>, BatchResponse)> {
+    validate_request(index, request)?;
+    let trace = plan_trace(request);
+    let response = executor.execute(index, trace.as_ref().map_or(request, |plan| &plan.request));
+    Ok((trace, response))
+}
+
 /// Up-front request validation shared by every serving path: dimension mismatches and
 /// out-of-range overrides are errors, not worker-thread panics or silent no-ops.
 fn validate_request(index: &dyn P2hIndex, request: &BatchRequest) -> Result<()> {
-    validate_queries(index.dim(), request)
-}
-
-/// [`validate_request`] against a bare augmented dimension, for serving paths whose
-/// index is not a [`P2hIndex`] trait object (the live tier).
-fn validate_queries(dim: usize, request: &BatchRequest) -> Result<()> {
+    let dim = index.dim();
     for query in &request.queries {
         if query.dim() != dim {
             return Err(Error::DimensionMismatch { expected: dim, actual: query.dim() });

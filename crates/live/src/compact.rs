@@ -25,7 +25,6 @@
 //! leaves the index serving the old epoch with the extra segment still referenced;
 //! a retry simply advances to the next epoch number.
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::time::Instant;
 
@@ -37,7 +36,7 @@ use p2h_store::{
 };
 
 use crate::error::{LiveError, LiveResult};
-use crate::index::{CompactionPending, Layer, LiveIndex};
+use crate::index::{CompactionPending, Layer, LiveIndex, Tombstones};
 
 /// What caused a compaction to run — the `trigger` label on
 /// `p2h_live_compactions_total`.
@@ -160,7 +159,7 @@ impl LiveIndex {
         if let Some(base) = &state.base {
             let rows = base_rows(base);
             for (pos, &id) in state.base_ids.iter().enumerate() {
-                if !state.base_tombs.contains(&(pos as u32)) {
+                if !state.base_tombs.contains(pos) {
                     ids.push(id);
                     flat.extend_from_slice(rows.row(pos));
                 }
@@ -169,12 +168,10 @@ impl LiveIndex {
         let mut folded_rows = 0usize;
         let frozen_layers = state.layers.len() - 1;
         for layer in &state.layers[..frozen_layers] {
-            for row in 0..layer.rows {
-                if !layer.deleted[row] {
-                    ids.push(layer.start_id + row as u32);
-                    flat.extend_from_slice(&layer.flat[row * dim..(row + 1) * dim]);
-                    folded_rows += 1;
-                }
+            for row in layer.live() {
+                ids.push(layer.start_id + row as u32);
+                flat.extend_from_slice(&layer.flat[row * dim..(row + 1) * dim]);
+                folded_rows += 1;
             }
         }
         Ok(Frozen { new_epoch, dim, freeze_next_id, new_wal_name, ids, flat, folded_rows })
@@ -226,19 +223,14 @@ impl LiveIndex {
         state.files = files;
         state.base = tree.map(LoadedIndex::BallTree);
         state.base_ids = ids.into();
-        let new_tombs: BTreeSet<u32> = {
-            let base_ids = &state.base_ids;
-            pending
-                .tombs
-                .iter()
-                .map(|gid| {
-                    let pos = base_ids
-                        .binary_search(gid)
-                        .expect("a point deleted mid-compaction survived the freeze snapshot");
-                    pos as u32
-                })
-                .collect()
-        };
+        let mut new_tombs = Tombstones::with_positions(state.base_ids.len());
+        for gid in &pending.tombs {
+            let pos = state
+                .base_ids
+                .binary_search(gid)
+                .expect("a point deleted mid-compaction survived the freeze snapshot");
+            new_tombs.insert(pos);
+        }
         state.base_tombs = new_tombs;
         let active = state.layers.pop().expect("freeze phase pushed the active layer");
         state.layers = vec![active];

@@ -2,11 +2,10 @@
 //! paths. Layered search lives in [`crate::search`], compaction in
 //! [`crate::compact`].
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use p2h_core::{Error, Scalar, VecBuf};
+use p2h_core::{is_excluded, kernels, Error, Scalar, VecBuf};
 use p2h_store::{
     live_ids_file, live_wal_file, replay_wal, LiveEntryFiles, LiveIdsSnapshot, LoadedIndex, Store,
     StoreError, StoreResult, WalHeader, WalOp, WalWriter,
@@ -14,6 +13,61 @@ use p2h_store::{
 
 use crate::error::{LiveError, LiveResult};
 use crate::metrics::LiveMetrics;
+
+/// The deleted positions of one tier — base positions, or a memtable layer's rows — as
+/// a bitset plus its population: bit `p % 64` of word `p / 64` is set once position `p`
+/// is deleted. Word `w` covers the strip of rows `64w .. 64w + 64`, and the words are
+/// what [`p2h_core::P2hIndex::search_group_excluding`] reads, so a search never
+/// rebuilds them.
+#[derive(Debug, Default)]
+pub(crate) struct Tombstones {
+    words: Vec<u64>,
+    count: usize,
+}
+
+impl Tombstones {
+    /// Room for `positions` positions, none deleted.
+    pub fn with_positions(positions: usize) -> Self {
+        Self { words: vec![0; positions.div_ceil(64)], count: 0 }
+    }
+
+    /// Makes room for `positions` positions; the new ones are not deleted.
+    fn grow_to(&mut self, positions: usize) {
+        self.words.resize(positions.div_ceil(64), 0);
+    }
+
+    /// Marks `pos` deleted; returns whether it was live.
+    pub fn insert(&mut self, pos: usize) -> bool {
+        let bit = 1 << (pos % 64);
+        let word = &mut self.words[pos / 64];
+        if *word & bit != 0 {
+            return false;
+        }
+        *word |= bit;
+        self.count += 1;
+        true
+    }
+
+    pub fn contains(&self, pos: usize) -> bool {
+        is_excluded(&self.words, pos)
+    }
+
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// The deleted positions, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || (rest != 0).then(|| 64 * w + kernels::pop_row(&mut rest)))
+        })
+    }
+}
 
 /// One contiguous run of recently inserted rows: ids `start_id .. start_id + rows`,
 /// stored flat in insertion (= id) order. Normally there is exactly one layer; a
@@ -24,14 +78,13 @@ pub(crate) struct Layer {
     pub rows: usize,
     /// Row-major augmented points, `rows * dim` scalars.
     pub flat: Vec<Scalar>,
-    /// Per-row tombstones (deleted rows keep their slot so ids stay positional).
-    pub deleted: Vec<bool>,
-    pub live_rows: usize,
+    /// Deleted rows (they keep their slot so ids stay positional).
+    pub tombs: Tombstones,
 }
 
 impl Layer {
     pub fn empty(start_id: u32) -> Self {
-        Self { start_id, rows: 0, flat: Vec::new(), deleted: Vec::new(), live_rows: 0 }
+        Self { start_id, rows: 0, flat: Vec::new(), tombs: Tombstones::default() }
     }
 
     pub fn contains(&self, id: u32) -> bool {
@@ -39,29 +92,27 @@ impl Layer {
     }
 
     pub fn is_live(&self, id: u32) -> bool {
-        self.contains(id) && !self.deleted[(id - self.start_id) as usize]
+        self.contains(id) && !self.tombs.contains((id - self.start_id) as usize)
     }
 
     pub fn push(&mut self, point: &[Scalar]) {
         self.flat.extend_from_slice(point);
-        self.deleted.push(false);
         self.rows += 1;
-        self.live_rows += 1;
+        self.tombs.grow_to(self.rows);
     }
 
     /// Tombstones a contained row; returns whether it was live.
     pub fn delete(&mut self, id: u32) -> bool {
-        let row = (id - self.start_id) as usize;
-        if self.deleted[row] {
-            return false;
-        }
-        self.deleted[row] = true;
-        self.live_rows -= 1;
-        true
+        self.tombs.insert((id - self.start_id) as usize)
     }
 
-    pub fn tombstones(&self) -> usize {
-        self.rows - self.live_rows
+    pub fn live_rows(&self) -> usize {
+        self.rows - self.tombs.len()
+    }
+
+    /// The live rows, ascending.
+    pub fn live(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.rows).filter(|&row| !self.tombs.contains(row))
     }
 }
 
@@ -87,7 +138,7 @@ pub(crate) struct LiveState {
     /// Strictly increasing global ids, one per base point in base (original) order.
     pub base_ids: VecBuf<u32>,
     /// Base-local positions masked by a delete.
-    pub base_tombs: BTreeSet<u32>,
+    pub base_tombs: Tombstones,
     /// Memtable layers, oldest first; the last one is the active (appendable) layer.
     pub layers: Vec<Layer>,
     pub wal: WalWriter,
@@ -97,16 +148,15 @@ pub(crate) struct LiveState {
 
 impl LiveState {
     pub fn live_len(&self) -> usize {
-        self.base_ids.len() - self.base_tombs.len()
-            + self.layers.iter().map(|l| l.live_rows).sum::<usize>()
+        self.base_ids.len() - self.base_tombs.len() + self.memtable_rows()
     }
 
     pub fn memtable_rows(&self) -> usize {
-        self.layers.iter().map(|l| l.live_rows).sum()
+        self.layers.iter().map(Layer::live_rows).sum()
     }
 
     pub fn tombstones(&self) -> usize {
-        self.base_tombs.len() + self.layers.iter().map(|l| l.tombstones()).sum::<usize>()
+        self.base_tombs.len() + self.layers.iter().map(|l| l.tombs.len()).sum::<usize>()
     }
 }
 
@@ -186,7 +236,7 @@ impl LiveIndex {
             next_id: 0,
             base: None,
             base_ids: Vec::new().into(),
-            base_tombs: BTreeSet::new(),
+            base_tombs: Tombstones::default(),
             layers: vec![Layer::empty(0)],
             wal,
             files,
@@ -238,7 +288,7 @@ impl LiveIndex {
         }
         let metrics = LiveMetrics::for_index(name);
         let mut layer = Layer::empty(ids.next_id);
-        let mut base_tombs = BTreeSet::new();
+        let mut base_tombs = Tombstones::with_positions(ids.ids.len());
         let mut next_id = ids.next_id;
         let mut wal_epoch = ids.epoch;
         let mut last_replay = None;
@@ -405,7 +455,7 @@ impl LiveIndex {
                 state.layers[ordinal].delete(id);
             }
             Target::Base(pos) => {
-                state.base_tombs.insert(pos);
+                state.base_tombs.insert(pos as usize);
             }
         }
         if let Some(pending) = &mut state.compaction {
@@ -470,19 +520,17 @@ impl LiveIndex {
         if let Some(base) = &state.base {
             let rows = crate::compact::base_rows(base);
             for (pos, &id) in state.base_ids.iter().enumerate() {
-                if !state.base_tombs.contains(&(pos as u32)) {
+                if !state.base_tombs.contains(pos) {
                     out.push((id, rows.row(pos).to_vec()));
                 }
             }
         }
         for layer in &state.layers {
-            for row in 0..layer.rows {
-                if !layer.deleted[row] {
-                    out.push((
-                        layer.start_id + row as u32,
-                        layer.flat[row * dim..(row + 1) * dim].to_vec(),
-                    ));
-                }
+            for row in layer.live() {
+                out.push((
+                    layer.start_id + row as u32,
+                    layer.flat[row * dim..(row + 1) * dim].to_vec(),
+                ));
             }
         }
         out
@@ -516,7 +564,7 @@ fn locate_live(state: &LiveState, id: u32) -> Option<Target> {
     match state.base_ids.binary_search(&id) {
         Ok(pos) => {
             let pos = pos as u32;
-            (!state.base_tombs.contains(&pos)).then_some(Target::Base(pos))
+            (!state.base_tombs.contains(pos as usize)).then_some(Target::Base(pos))
         }
         Err(_) => None,
     }
@@ -527,7 +575,7 @@ fn locate_live(state: &LiveState, id: u32) -> Option<Target> {
 fn apply_replayed_delete(
     id: u32,
     ids: &LiveIdsSnapshot,
-    base_tombs: &mut BTreeSet<u32>,
+    base_tombs: &mut Tombstones,
     layer: &mut Layer,
 ) -> StoreResult<()> {
     if layer.contains(id) {
@@ -542,7 +590,7 @@ fn apply_replayed_delete(
     }
     match ids.ids.binary_search(&id) {
         Ok(pos) => {
-            if !base_tombs.insert(pos as u32) {
+            if !base_tombs.insert(pos) {
                 return Err(StoreError::WalCorrupt {
                     message: format!(
                         "replayed delete of id {id}, which an earlier frame already deleted"

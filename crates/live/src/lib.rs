@@ -66,3 +66,4 @@ pub use compact::{CompactionReport, CompactionTrigger};
 pub use error::{LiveError, LiveResult};
 pub use index::LiveIndex;
 pub use policy::{CompactionPolicy, Compactor};
+pub use search::LiveView;

@@ -1,5 +1,6 @@
 //! A temporary directory per test, shared by the crate's unit tests (`lib.rs` takes this
-//! file by `#[path]`) and its integration tests (`mod common;`).
+//! file by `#[path]`), its integration tests (`mod common;`) and the other crates' tests
+//! that need a store directory (by `#[path]`).
 
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
