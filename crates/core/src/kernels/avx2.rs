@@ -18,9 +18,10 @@
 //!
 //! # The checksum
 //!
-//! [`crc32`] is the one integer kernel here: CRC-32 by carry-less multiplication
-//! (`pclmulqdq`), four 128-bit lanes folded 64 bytes a step. A checksum has one right
-//! answer, so this arm is bit-identical to [`super::scalar::crc32`], not merely close.
+//! [`crc32_update`] is the one integer kernel here: CRC-32 by carry-less multiplication
+//! (`pclmulqdq`), four 128-bit lanes folded 64 bytes a step, from any starting register.
+//! A checksum has one right answer, so this arm is bit-identical to
+//! [`super::scalar::crc32_update`], not merely close.
 //!
 //! # Safety
 //!
@@ -42,7 +43,7 @@ use std::arch::x86_64::{
 };
 
 use super::pop_row;
-use super::scalar::{crc32_update, tail_dot, tail_euclidean_sq, BLOCK_ROWS};
+use super::scalar::{self, tail_dot, tail_euclidean_sq, BLOCK_ROWS};
 use crate::{Scalar, LEAF_STRIP};
 
 /// Lanes per AVX2 register.
@@ -395,9 +396,9 @@ pub unsafe fn mask_gt(values: &[Scalar], threshold: Scalar) -> u64 {
     mask
 }
 
-/// Bytes per 128-bit lane of [`crc32`].
+/// Bytes per 128-bit lane of [`crc32_update`].
 const CRC_LANE: usize = 16;
-/// The shortest input [`crc32`] takes: one load of its four lanes.
+/// The shortest input [`crc32_update`] takes: one load of its four lanes.
 pub(crate) const CRC_FOLD_MIN: usize = 4 * CRC_LANE;
 
 // Folding constants of the reflected IEEE polynomial `P`: `x^n mod P`, bit-reversed and
@@ -427,7 +428,8 @@ unsafe fn crc_fold(acc: __m128i, next: __m128i, k: __m128i) -> __m128i {
     _mm_xor_si128(_mm_xor_si128(low, high), next)
 }
 
-/// CRC-32 (IEEE) of `data`, bit-identical to [`super::scalar::crc32`].
+/// Advances the raw CRC-32 (IEEE) register `state` over `data`, bit-identical to
+/// [`super::scalar::crc32_update`].
 ///
 /// Four lanes are folded 64 bytes a step (four independent multiply chains), then onto
 /// each other, then over the remaining whole lanes one at a time; the 128-bit remainder
@@ -438,12 +440,12 @@ unsafe fn crc_fold(acc: __m128i, next: __m128i, k: __m128i) -> __m128i {
 ///
 /// CPU must support PCLMULQDQ and SSE4.1; `data.len() >= CRC_FOLD_MIN`.
 #[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
-pub unsafe fn crc32(data: &[u8]) -> u32 {
-    debug_assert!(data.len() >= CRC_FOLD_MIN, "crc32: input shorter than four lanes");
+pub unsafe fn crc32_update(state: u32, data: &[u8]) -> u32 {
+    debug_assert!(data.len() >= CRC_FOLD_MIN, "crc32_update: input shorter than four lanes");
     let lanes = data.len() / CRC_LANE;
     let lane = data.as_ptr().cast::<__m128i>();
-    // The register starts as all ones: XOR it into the first four message bytes.
-    let mut x0 = _mm_xor_si128(_mm_loadu_si128(lane), _mm_cvtsi32_si128(-1));
+    // The register enters the message XORed into its first four bytes.
+    let mut x0 = _mm_xor_si128(_mm_loadu_si128(lane), _mm_cvtsi32_si128(state as i32));
     let mut x1 = _mm_loadu_si128(lane.add(1));
     let mut x2 = _mm_loadu_si128(lane.add(2));
     let mut x3 = _mm_loadu_si128(lane.add(3));
@@ -475,7 +477,7 @@ pub unsafe fn crc32(data: &[u8]) -> u32 {
     let q = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), barrett);
     let qp = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(q, low32), barrett);
     let state = _mm_extract_epi32::<1>(_mm_xor_si128(x, qp)) as u32;
-    !crc32_update(state, &data[lanes * CRC_LANE..])
+    scalar::crc32_update(state, &data[lanes * CRC_LANE..])
 }
 
 #[cfg(test)]

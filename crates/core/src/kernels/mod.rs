@@ -23,11 +23,13 @@
 //!
 //! [`crc32`] — the IEEE CRC-32 over every snapshot section, WAL frame and wire frame —
 //! is dispatched like the rest, because a cold start is one pass of it over the whole
-//! snapshot:
+//! snapshot. [`crc32_update`] is the same kernel on a raw register, for checksums taken
+//! a piece at a time (a snapshot save checksums a section over the runs it writes it
+//! from):
 //!
 //! | arm | taken when | speed (one core, `kernel_bench`) |
 //! |---|---|---|
-//! | PCLMULQDQ folding (`avx2::crc32`) | backend is AVX2 + FMA, the CPU also reports `pclmulqdq` and `sse4.1`, and the input has ≥ 64 bytes | 17–24 GB/s from cache (600 B and up), ≈ 5 GB/s over the freshly mapped pages of a cold start |
+//! | PCLMULQDQ folding (`avx2::crc32_update`) | backend is AVX2 + FMA, the CPU also reports `pclmulqdq` and `sse4.1`, and the input has ≥ 64 bytes | 17–24 GB/s from cache (600 B and up), ≈ 5 GB/s over the freshly mapped pages of a cold start |
 //! | slice-by-16 tables ([`scalar::crc32`]) | everything else: shorter inputs, the scalar backend (forced or detected), `aarch64` | ≈ 2 GB/s |
 //!
 //! It is not a [`KernelBackend`] of its own, and unlike the floating-point kernels its
@@ -342,6 +344,15 @@ pub fn mask_gt(values: &[Scalar], threshold: Scalar) -> u64 {
 /// same value for the same bytes (see the module docs for which one runs).
 #[inline]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(!0, bytes)
+}
+
+/// Advances a raw CRC-32 register (no initial or final inversion) over `bytes`, so a
+/// checksum can be taken over a stream a piece at a time:
+/// `!crc32_update(crc32_update(!0, a), b)` is `crc32` of `a` followed by `b`, wherever
+/// the split falls. Dispatched like [`crc32`], piece by piece.
+#[inline]
+pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if bytes.len() >= avx2::CRC_FOLD_MIN
         && active_backend() == KernelBackend::Avx2Fma
@@ -349,9 +360,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         && is_x86_feature_detected!("sse4.1")
     {
         // SAFETY: both features were just detected, and the length is the arm's minimum.
-        return unsafe { avx2::crc32(bytes) };
+        return unsafe { avx2::crc32_update(state, bytes) };
     }
-    scalar::crc32(bytes)
+    scalar::crc32_update(state, bytes)
 }
 
 #[cfg(test)]

@@ -210,10 +210,10 @@ static CRC_TABLES: [[u32; 256]; CRC_SLICES] = {
 };
 
 /// Advances the raw CRC register (no initial or final inversion) over `data`,
-/// slice-by-16 with a byte-at-a-time tail. The portable arm is this between the two
-/// inversions; the folding arm uses it for what it leaves over.
+/// slice-by-16 with a byte-at-a-time tail: the portable arm of
+/// [`super::crc32_update`], which the folding arm also uses for what it leaves over.
 #[inline]
-pub(crate) fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
+pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
     let mut steps = data.chunks_exact(CRC_SLICES);
     for step in &mut steps {
         let head = state ^ u32::from_le_bytes([step[0], step[1], step[2], step[3]]);

@@ -44,6 +44,10 @@ fn checksums(data: &[Scalar]) -> [u32; 5] {
         let crc = kernels::crc32(&bytes[..len]);
         assert_eq!(crc, scalar::crc32(&bytes[..len]), "portable arm, {len} bytes");
         assert_eq!(crc, bytewise_crc32(&bytes[..len]), "bytewise reference, {len} bytes");
+        // Chained over a short piece and a long one, as a streamed section is.
+        let (head, tail) = bytes[..len].split_at(len.min(24));
+        let chained = kernels::crc32_update(kernels::crc32_update(!0, head), tail);
+        assert_eq!(!chained, crc, "chained update, {len} bytes");
         crc
     })
 }

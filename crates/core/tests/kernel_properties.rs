@@ -5,7 +5,8 @@
 //! per (query, row) pair to their single-vector counterparts. CI runs this file under
 //! hardware dispatch and under `P2H_FORCE_SCALAR=1`, so every property holds on both
 //! dispatch arms. The checksum kernel is the exception to "within tolerance": every arm
-//! of `kernels::crc32` must equal the byte-at-a-time reference in every bit.
+//! of `kernels::crc32` must equal the byte-at-a-time reference in every bit, and so must
+//! `kernels::crc32_update` chained over any split of the input.
 
 mod common;
 
@@ -93,6 +94,32 @@ proptest! {
         let want = bytewise_crc32(bytes);
         prop_assert_eq!(kernels::crc32(bytes), want);
         prop_assert_eq!(scalar::crc32(bytes), want);
+    }
+
+    /// A checksum taken a piece at a time equals the checksum of the whole, wherever the
+    /// cuts fall: pieces land on both sides of the folding arm's 64-byte minimum, so the
+    /// register is handed between the two arms as well as within each.
+    #[test]
+    fn chained_crc32_update_equals_crc32_of_the_whole(
+        seed in 0u64..u64::MAX,
+        len in 0usize..4097,
+        cuts in proptest::collection::vec(0usize..4097, 0..12),
+    ) {
+        let data = crc_bytes(len, seed);
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|cut| cut % (len + 1)).collect();
+        cuts.sort_unstable();
+        let pieces: Vec<&[u8]> = [0]
+            .iter()
+            .chain(&cuts)
+            .zip(cuts.iter().chain([&len]))
+            .map(|(&from, &to)| &data[from..to])
+            .collect();
+        let want = kernels::crc32(&data);
+        prop_assert_eq!(want, bytewise_crc32(&data));
+        let dispatched = pieces.iter().fold(!0, |state, piece| kernels::crc32_update(state, piece));
+        prop_assert_eq!(!dispatched, want);
+        let portable = pieces.iter().fold(!0, |state, piece| scalar::crc32_update(state, piece));
+        prop_assert_eq!(!portable, want);
     }
 
     #[test]

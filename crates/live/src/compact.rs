@@ -32,7 +32,7 @@ use p2h_balltree::{BallTreeBuilder, DEFAULT_LEAF_SIZE};
 use p2h_core::{PointSet, Scalar};
 use p2h_store::{
     live_base_file, live_ids_file, live_wal_file, LiveEntryFiles, LiveIdsSnapshot, LoadedIndex,
-    Snapshot, WalHeader, WalWriter,
+    WalHeader, WalWriter,
 };
 
 use crate::error::{LiveError, LiveResult};
@@ -192,27 +192,24 @@ impl LiveIndex {
             let points = PointSet::from_flat(dim, flat)?;
             Some(BallTreeBuilder::new(DEFAULT_LEAF_SIZE).with_seed(new_epoch).build(&points)?)
         };
-        let new_base_name = tree.as_ref().map(|tree| {
-            let name = live_base_file(self.name(), new_epoch);
-            (name, tree.encode_snapshot())
-        });
-        if let Some((name, bytes)) = &new_base_name {
-            self.store().save_live_snapshot(name, bytes)?;
-        }
-        let new_ids_name = live_ids_file(self.name(), new_epoch);
-        let ids_snapshot = LiveIdsSnapshot {
-            epoch: new_epoch,
-            dim,
-            next_id: freeze_next_id,
-            ids: ids.clone().into(),
+        let new_base_name = match &tree {
+            Some(tree) => {
+                let name = live_base_file(self.name(), new_epoch);
+                self.store().save_live_snapshot(&name, tree)?;
+                Some(name)
+            }
+            None => None,
         };
+        let new_ids_name = live_ids_file(self.name(), new_epoch);
+        let ids_snapshot =
+            LiveIdsSnapshot { epoch: new_epoch, dim, next_id: freeze_next_id, ids: ids.into() };
         self.store().save_live_ids(&new_ids_name, &ids_snapshot)?;
         self.metrics.phase_build_ns.record(build_start.elapsed().as_nanos() as u64);
 
         let commit_start = Instant::now();
         let files = LiveEntryFiles {
             ids_file: new_ids_name,
-            base_file: new_base_name.map(|(name, _)| name),
+            base_file: new_base_name,
             wal_files: vec![new_wal_name],
         };
         let mut state = self.write_state();
@@ -222,7 +219,7 @@ impl LiveIndex {
         let pending = state.compaction.take().expect("freeze phase installed the marker");
         state.files = files;
         state.base = tree.map(LoadedIndex::BallTree);
-        state.base_ids = ids.into();
+        state.base_ids = ids_snapshot.ids;
         let mut new_tombs = Tombstones::with_positions(state.base_ids.len());
         for gid in &pending.tombs {
             let pos = state

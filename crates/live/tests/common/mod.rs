@@ -24,9 +24,6 @@
 
 #![allow(dead_code)]
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use p2h_core::{
     HyperplaneQuery, LinearScan, P2hIndex, PointSet, QueryScratch, Scalar, SearchParams,
     SearchResult,
@@ -35,6 +32,11 @@ use p2h_live::LiveIndex;
 use p2h_store::{LoadMode, Store};
 use proptest::prelude::*;
 use proptest::TestCaseError;
+
+#[path = "../../../store/tests/common/mod.rs"]
+mod test_dir;
+
+use test_dir::TestDir;
 
 /// Raw (unaugmented) dimensionality of every generated point.
 pub const RAW_DIM: usize = 3;
@@ -52,13 +54,6 @@ pub fn ops_strategy() -> impl Strategy<Value = Vec<OpTuple>> {
         (0u32..12, 0u32..1_000_000, proptest::collection::vec(-1.0f32..1.0, RAW_DIM), -2.0f32..2.0),
         0..40,
     )
-}
-
-static CASE: AtomicU64 = AtomicU64::new(0);
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let case = CASE.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("p2h-live-{tag}-{}-{case}", std::process::id()))
 }
 
 /// `(global id, distance bits)` pairs — the exact comparison currency.
@@ -176,7 +171,7 @@ fn augmented(row: &[Scalar]) -> Vec<Scalar> {
 /// Runs one interleaving against the live index and the rebuild oracle. Returns
 /// `Err(TestCaseError::Fail)` on the first divergence.
 pub fn check_interleaving(tag: &str, ops: &[OpTuple]) -> Result<(), TestCaseError> {
-    let dir = temp_dir(tag);
+    let dir = TestDir::new(tag);
     let store = Store::create(&dir).expect("create store");
     let live = LiveIndex::create(&store, "stream", RAW_DIM + 1).expect("create live index");
 
@@ -270,7 +265,5 @@ pub fn check_interleaving(tag: &str, ops: &[OpTuple]) -> Result<(), TestCaseErro
         }
         check_recorded(&reopened, &recorded, &model)?;
     }
-
-    std::fs::remove_dir_all(&dir).ok();
     Ok(())
 }

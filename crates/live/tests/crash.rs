@@ -7,13 +7,17 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, ChildStdout, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use p2h_core::{HyperplaneQuery, LinearScan, P2hIndex, PointSet, Scalar, SearchParams};
 use p2h_live::LiveIndex;
 use p2h_store::Store;
+
+#[path = "../../store/tests/common/mod.rs"]
+mod test_dir;
+
+use test_dir::TestDir;
 
 const RAW_DIM: usize = 3;
 
@@ -29,16 +33,6 @@ fn raw_point(id: u32, raw_dim: usize) -> Vec<Scalar> {
             (x >> 40) as Scalar / (1u64 << 23) as Scalar - 1.0
         })
         .collect()
-}
-
-static CASE: AtomicU64 = AtomicU64::new(0);
-
-fn temp_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "p2h-live-crash-{tag}-{}-{}",
-        std::process::id(),
-        CASE.fetch_add(1, Ordering::Relaxed)
-    ))
 }
 
 struct Writer {
@@ -175,7 +169,7 @@ fn verify_recovery(dir: &Path, acks: &Acks) -> u32 {
 
 #[test]
 fn kill_mid_wal_append_loses_no_acknowledged_write() {
-    let dir = temp_dir("append");
+    let dir = TestDir::new("append");
     let mut writer = Writer::spawn(&dir, &["insert-loop"]);
     assert_eq!(writer.expect_ready(), 0);
     // Kill while the writer is mid-stream: SIGKILL lands at an arbitrary point in
@@ -183,12 +177,11 @@ fn kill_mid_wal_append_loses_no_acknowledged_write() {
     let acks = collect_acks(&mut writer, 300);
     writer.kill();
     verify_recovery(&dir, &acks);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn kill_mid_compaction_loses_no_acknowledged_write() {
-    let dir = temp_dir("compact");
+    let dir = TestDir::new("compact");
     let mut writer = Writer::spawn(&dir, &["compact-after", "200"]);
     assert_eq!(writer.expect_ready(), 0);
     let mut acks = Acks::default();
@@ -211,12 +204,11 @@ fn kill_mid_compaction_loses_no_acknowledged_write() {
     acks.merge(collect_acks(&mut writer, 100));
     writer.kill();
     verify_recovery(&dir, &acks);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn kill_after_compaction_replays_the_new_epoch_segment() {
-    let dir = temp_dir("epoch");
+    let dir = TestDir::new("epoch");
     let mut writer = Writer::spawn(&dir, &["compact-after", "60"]);
     assert_eq!(writer.expect_ready(), 0);
     let mut acks = Acks::default();
@@ -232,5 +224,4 @@ fn kill_after_compaction_replays_the_new_epoch_segment() {
     acks.merge(collect_acks(&mut writer, 150));
     writer.kill();
     verify_recovery(&dir, &acks);
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,14 +4,17 @@
 //! and not applied**, and a failed append rolls the segment back so a retry cannot
 //! produce duplicate-id corruption.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use p2h_live::{LiveError, LiveIndex};
 use p2h_obs::fault::{set_rules, FaultRule};
 use p2h_obs::FaultKind;
 use p2h_store::Store;
+
+#[path = "../../store/tests/common/mod.rs"]
+mod test_dir;
+
+use test_dir::TestDir;
 
 /// The fault rule set is process-global; serialize the tests that mutate it.
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
@@ -20,14 +23,8 @@ fn lock() -> MutexGuard<'static, ()> {
     FAULT_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-static CASE: AtomicU64 = AtomicU64::new(0);
-
-fn temp_store(tag: &str) -> (PathBuf, Store) {
-    let dir = std::env::temp_dir().join(format!(
-        "p2h-live-faults-{tag}-{}-{}",
-        std::process::id(),
-        CASE.fetch_add(1, Ordering::Relaxed)
-    ));
+fn temp_store(tag: &str) -> (TestDir, Store) {
+    let dir = TestDir::new(tag);
     let store = Store::create(&dir).expect("create store");
     (dir, store)
 }
@@ -39,7 +36,7 @@ fn point(id: u32) -> Vec<f32> {
 #[test]
 fn transient_eintr_is_absorbed_on_append_and_fsync() {
     let _guard = lock();
-    let (dir, store) = temp_store("eintr");
+    let (_dir, store) = temp_store("eintr");
     let live = LiveIndex::create(&store, "s", 4).expect("create");
     set_rules(vec![
         FaultRule::new("live.wal.append", FaultKind::Eintr, 0.5, 7),
@@ -57,13 +54,12 @@ fn transient_eintr_is_absorbed_on_append_and_fsync() {
     let reopened = LiveIndex::open(&store, "s").expect("reopen");
     assert_eq!(reopened.len(), 19);
     assert!(!reopened.is_live(3));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn permanent_append_failure_is_typed_and_not_applied() {
     let _guard = lock();
-    let (dir, store) = temp_store("refuse");
+    let (_dir, store) = temp_store("refuse");
     let live = LiveIndex::create(&store, "s", 4).expect("create");
     for id in 0..3 {
         live.insert(&point(id)).expect("insert");
@@ -83,13 +79,12 @@ fn permanent_append_failure_is_typed_and_not_applied() {
     drop(live);
     let reopened = LiveIndex::open(&store, "s").expect("reopen");
     assert_eq!(reopened.len(), 4);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn failed_fsync_rolls_the_segment_back_so_a_retry_cannot_corrupt() {
     let _guard = lock();
-    let (dir, store) = temp_store("rollback");
+    let (_dir, store) = temp_store("rollback");
     let live = LiveIndex::create(&store, "s", 4).expect("create");
     live.insert(&point(0)).expect("insert");
     // write(2) lands the frame bytes; the injected fsync failure must roll them
@@ -104,13 +99,12 @@ fn failed_fsync_rolls_the_segment_back_so_a_retry_cannot_corrupt() {
     let reopened = LiveIndex::open(&store, "s").expect("replay accepts the segment");
     assert_eq!(reopened.len(), 2);
     assert_eq!(reopened.next_id(), 2);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn replay_read_failure_is_a_typed_error_not_a_panic() {
     let _guard = lock();
-    let (dir, store) = temp_store("read");
+    let (_dir, store) = temp_store("read");
     {
         let live = LiveIndex::create(&store, "s", 4).expect("create");
         live.insert(&point(0)).expect("insert");
@@ -120,5 +114,4 @@ fn replay_read_failure_is_a_typed_error_not_a_panic() {
     set_rules(Vec::new());
     let reopened = LiveIndex::open(&store, "s").expect("reopen after fault clears");
     assert_eq!(reopened.len(), 1);
-    std::fs::remove_dir_all(&dir).ok();
 }

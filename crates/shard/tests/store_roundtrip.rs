@@ -3,12 +3,15 @@
 //! typed error and loading stays all-or-nothing; replacing a group is atomic (epoch
 //! staging) and reclaims superseded files.
 
-use std::path::PathBuf;
-
 use p2h_core::{P2hIndex, PointSet, SearchParams};
 use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
 use p2h_shard::{Partitioner, ShardIndexKind, ShardedIndex, ShardedIndexBuilder};
 use p2h_store::{Store, StoreEntry, StoreError};
+
+#[path = "../../store/tests/common/mod.rs"]
+mod common;
+
+use common::TestDir;
 
 fn dataset(n: usize, raw_dim: usize) -> PointSet {
     SyntheticDataset::new(
@@ -22,13 +25,6 @@ fn dataset(n: usize, raw_dim: usize) -> PointSet {
     .unwrap()
 }
 
-fn temp_dir(name: &str) -> PathBuf {
-    let mut dir = std::env::temp_dir();
-    dir.push(format!("p2h-shard-store-{}-{name}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
-
 fn build_sharded(points: &PointSet, shards: usize) -> ShardedIndex {
     ShardedIndexBuilder::new(Partitioner::Hash { shards }, ShardIndexKind::BcTree { leaf_size: 24 })
         .with_seed(5)
@@ -38,7 +34,7 @@ fn build_sharded(points: &PointSet, shards: usize) -> ShardedIndex {
 
 #[test]
 fn shard_group_round_trips_bit_identically() {
-    let dir = temp_dir("roundtrip");
+    let dir = TestDir::new("roundtrip");
     let points = dataset(1_200, 10);
     let queries = generate_queries(&points, 16, QueryDistribution::DataDifference, 3).unwrap();
     let sharded = build_sharded(&points, 4);
@@ -65,13 +61,11 @@ fn shard_group_round_trips_bit_identically() {
             }
         }
     }
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn mixed_stores_load_through_entries() {
-    let dir = temp_dir("mixed");
+    let dir = TestDir::new("mixed");
     let points = dataset(400, 6);
     let store = Store::create(&dir).unwrap();
     store.save("scan", &p2h_core::LinearScan::new(points.clone())).unwrap();
@@ -91,13 +85,11 @@ fn mixed_stores_load_through_entries() {
     ));
     assert!(matches!(store.load_any("sharded"), Err(StoreError::EntryKind { is_group: true, .. })));
     assert!(matches!(store.load_shard_group("nope"), Err(StoreError::MissingEntry(_))));
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn group_replacement_is_epoch_staged_and_reclaims_old_files() {
-    let dir = temp_dir("epochs");
+    let dir = TestDir::new("epochs");
     let points = dataset(600, 6);
     let store = Store::create(&dir).unwrap();
 
@@ -114,13 +106,11 @@ fn group_replacement_is_epoch_staged_and_reclaims_old_files() {
 
     let restored = ShardedIndex::load_from(&store, "idx").unwrap();
     assert_eq!(restored.shard_count(), 2);
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn stray_staged_files_from_a_crashed_save_are_ignored() {
-    let dir = temp_dir("crash");
+    let dir = TestDir::new("crash");
     let points = dataset(500, 6);
     let store = Store::create(&dir).unwrap();
     let sharded = build_sharded(&points, 3);
@@ -145,8 +135,6 @@ fn stray_staged_files_from_a_crashed_save_are_ignored() {
     build_sharded(&points, 2).save_into(&store, "idx").unwrap();
     assert_eq!(ShardedIndex::load_from(&store, "idx").unwrap().shard_count(), 2);
     assert!(!list_p2hs(&dir).iter().any(|f| f.contains(".g1.")), "epoch 1 reclaimed");
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -155,7 +143,7 @@ fn corruption_anywhere_in_the_group_fails_loading_all_or_nothing() {
 
     // Corrupt one shard file.
     {
-        let dir = temp_dir("corrupt-shard");
+        let dir = TestDir::new("corrupt-shard");
         let store = Store::create(&dir).unwrap();
         build_sharded(&points, 3).save_into(&store, "idx").unwrap();
         let shard_file = dir.join("idx.g1.s1.p2hs");
@@ -168,12 +156,11 @@ fn corruption_anywhere_in_the_group_fails_loading_all_or_nothing() {
             Err(StoreError::ChecksumMismatch { .. })
         ));
         assert!(store.load_entries().is_err(), "all-or-nothing");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     // Corrupt the map file.
     {
-        let dir = temp_dir("corrupt-map");
+        let dir = TestDir::new("corrupt-map");
         let store = Store::create(&dir).unwrap();
         build_sharded(&points, 3).save_into(&store, "idx").unwrap();
         let map_file = dir.join("idx.g1.map.p2hs");
@@ -185,23 +172,21 @@ fn corruption_anywhere_in_the_group_fails_loading_all_or_nothing() {
             ShardedIndex::load_from(&store, "idx"),
             Err(StoreError::ChecksumMismatch { .. })
         ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     // Delete a shard file entirely.
     {
-        let dir = temp_dir("missing-shard");
+        let dir = TestDir::new("missing-shard");
         let store = Store::create(&dir).unwrap();
         build_sharded(&points, 3).save_into(&store, "idx").unwrap();
         std::fs::remove_file(dir.join("idx.g1.s2.p2hs")).unwrap();
         assert!(matches!(ShardedIndex::load_from(&store, "idx"), Err(StoreError::Io { .. })));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     // Swap two shard files: each decodes fine, but the id maps no longer match the
     // shard contents — the cross-file consistency check must catch it.
     {
-        let dir = temp_dir("swapped-shards");
+        let dir = TestDir::new("swapped-shards");
         let store = Store::create(&dir).unwrap();
         let sharded = ShardedIndexBuilder::new(
             Partitioner::Contiguous { shards: 3 },
@@ -222,7 +207,6 @@ fn corruption_anywhere_in_the_group_fails_loading_all_or_nothing() {
             ShardedIndex::load_from(&store, "idx"),
             Err(StoreError::GroupInconsistent { .. })
         ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -231,7 +215,7 @@ fn single_replacement_is_epoch_staged_too() {
     // Replacing a single snapshot must never overwrite the live file in place: the
     // new bytes stage under a fresh epoch name and the manifest commit switches
     // readers over, exactly like shard groups.
-    let dir = temp_dir("single-epochs");
+    let dir = TestDir::new("single-epochs");
     let points = dataset(300, 5);
     let store = Store::create(&dir).unwrap();
     let scan = p2h_core::LinearScan::new(points.clone());
@@ -256,14 +240,12 @@ fn single_replacement_is_epoch_staged_too() {
     assert!(!second.exists());
     let reloaded: p2h_core::LinearScan = store.load("idx").unwrap();
     assert_eq!(reloaded.points(), scan.points());
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn single_snapshot_saves_still_round_trip_next_to_groups() {
     // Regression guard: the manifest refactor must not disturb single-index saves.
-    let dir = temp_dir("single");
+    let dir = TestDir::new("single");
     let points = dataset(300, 5);
     let store = Store::create(&dir).unwrap();
     let scan = p2h_core::LinearScan::new(points.clone());
@@ -280,8 +262,6 @@ fn single_snapshot_saves_still_round_trip_next_to_groups() {
     }
     assert_eq!(store.is_shard_group("scan").unwrap(), Some(false));
     assert_eq!(store.is_shard_group("missing").unwrap(), None);
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn list_p2hs(dir: &std::path::Path) -> Vec<String> {
@@ -317,7 +297,7 @@ fn assert_answers_identical(a: &dyn P2hIndex, b: &dyn P2hIndex, points: &PointSe
 #[test]
 fn shard_groups_cold_start_zero_copy_under_mmap() {
     use p2h_store::LoadMode;
-    let dir = temp_dir("mmap-group");
+    let dir = TestDir::new("mmap-group");
     let points = dataset(1_000, 8);
     let sharded = build_sharded(&points, 3);
     let store = Store::create(&dir).unwrap();
@@ -329,7 +309,6 @@ fn shard_groups_cold_start_zero_copy_under_mmap() {
     assert_eq!(mapped.shard_count(), copied.shard_count());
     assert_answers_identical(&copied, &mapped, &points, 21);
     assert_answers_identical(&sharded, &mapped, &points, 22);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest::proptest! {
@@ -345,7 +324,7 @@ proptest::proptest! {
         seed in 0u64..500,
     ) {
         use p2h_store::LoadMode;
-        let dir = temp_dir(&format!("mmap-prop-{shards}-{partitioner_kind}-{seed}"));
+        let dir = TestDir::new(&format!("mmap-prop-{shards}-{partitioner_kind}-{seed}"));
         let points = dataset(600, 6);
         let partitioner = if partitioner_kind == 1 {
             Partitioner::Hash { shards }
@@ -364,6 +343,5 @@ proptest::proptest! {
         let mapped = ShardedIndex::load_from(&store.with_mode(LoadMode::Mmap), "g").unwrap();
         assert_answers_identical(&sharded, &copied, &points, seed ^ 1);
         assert_answers_identical(&copied, &mapped, &points, seed ^ 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

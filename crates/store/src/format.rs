@@ -28,10 +28,11 @@
 //! size before any `Vec` is reserved), and never an unaligned typed cast.
 
 use std::fmt;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use p2h_core::{BufBacking, Scalar, VecBuf};
+use p2h_core::{kernels, BufBacking, Scalar, VecBuf};
 
 use crate::crc32::crc32;
 use crate::mmap::MmapRegion;
@@ -345,19 +346,176 @@ pub(crate) fn io_error(path: &Path, err: std::io::Error) -> StoreError {
 // Writing
 // ---------------------------------------------------------------------------
 
-/// Assembles a snapshot byte buffer: fixed header followed by checksummed sections.
+/// Bytes [`SnapshotWriter::write_to`] encodes at a time: its one buffer, and so the
+/// whole of a save's memory beyond the index itself.
+pub const WRITE_CHUNK: usize = 64 * 1024;
+
+/// A value with a fixed-width little-endian encoding, which a section can stream from a
+/// borrowed slice (see [`Section::records`]).
+pub trait LeRecord: Sized {
+    /// Encoded bytes per value.
+    const WIDTH: usize;
+
+    /// Writes the value's little-endian bytes into `out` (exactly [`Self::WIDTH`] bytes).
+    fn put_le(&self, out: &mut [u8]);
+
+    /// `values` as they sit in memory, when those bytes already are their encoding
+    /// (`f32` and `u32` on a little-endian target): the writer then checksums and writes
+    /// them as they are, in one call, instead of encoding them a chunk at a time.
+    fn in_memory_le(_values: &[Self]) -> Option<&[u8]> {
+        None
+    }
+}
+
+impl LeRecord for Scalar {
+    const WIDTH: usize = 4;
+
+    fn put_le(&self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
+    }
+
+    fn in_memory_le(values: &[Self]) -> Option<&[u8]> {
+        crate::mmap::le_bytes(values)
+    }
+}
+
+impl LeRecord for u32 {
+    const WIDTH: usize = 4;
+
+    fn put_le(&self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
+    }
+
+    fn in_memory_le(values: &[Self]) -> Option<&[u8]> {
+        crate::mmap::le_bytes(values)
+    }
+}
+
+/// A borrowed slice of [`LeRecord`]s with its type erased.
+trait Records {
+    fn count(&self) -> usize;
+    fn width(&self) -> usize;
+    /// [`LeRecord::in_memory_le`] of the whole slice.
+    fn in_memory_le(&self) -> Option<&[u8]>;
+    /// Appends the encoding of the records `range` to `out`.
+    fn encode(&self, range: std::ops::Range<usize>, out: &mut Vec<u8>);
+}
+
+impl<T: LeRecord> Records for &[T] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn width(&self) -> usize {
+        T::WIDTH
+    }
+
+    fn in_memory_le(&self) -> Option<&[u8]> {
+        // A view of any other length would disagree with the section's declared length.
+        T::in_memory_le(self).filter(|bytes| bytes.len() == self.len() * T::WIDTH)
+    }
+
+    fn encode(&self, range: std::ops::Range<usize>, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + range.len() * T::WIDTH, 0);
+        for (dst, record) in out[start..].chunks_exact_mut(T::WIDTH).zip(&self[range]) {
+            record.put_le(dst);
+        }
+    }
+}
+
+/// One run of a section payload: bytes the section owns, or records borrowed from the
+/// index and encoded only as they are written.
+enum Part<'a> {
+    Owned(Vec<u8>),
+    Borrowed(Box<dyn Records + 'a>),
+}
+
+impl Part<'_> {
+    fn byte_len(&self) -> usize {
+        match self {
+            Part::Owned(bytes) => bytes.len(),
+            Part::Borrowed(records) => records.count() * records.width(),
+        }
+    }
+}
+
+/// A section's payload under construction: small values are appended as owned bytes,
+/// large arrays are borrowed ([`Section::records`]) and never copied whole.
+pub struct Section<'a> {
+    tag: [u8; 4],
+    parts: Vec<Part<'a>>,
+}
+
+impl<'a> Section<'a> {
+    /// The owned run at the end of the payload, opened if the last run is borrowed.
+    fn owned(&mut self) -> &mut Vec<u8> {
+        if !matches!(self.parts.last(), Some(Part::Owned(_))) {
+            self.parts.push(Part::Owned(Vec::new()));
+        }
+        match self.parts.last_mut() {
+            Some(Part::Owned(bytes)) => bytes,
+            _ => unreachable!("an owned run was just ensured"),
+        }
+    }
+
+    /// Appends raw bytes (copied).
+    pub fn put_bytes(&mut self, bytes: &[u8]) {
+        self.owned().extend_from_slice(bytes);
+    }
+
+    /// Appends a `u32`.
+    pub fn put_u32(&mut self, v: u32) {
+        self.put_bytes(&v.to_le_bytes());
+    }
+
+    /// Appends a `u64`.
+    pub fn put_u64(&mut self, v: u64) {
+        self.put_bytes(&v.to_le_bytes());
+    }
+
+    /// Appends an `f32`.
+    pub fn put_f32(&mut self, v: Scalar) {
+        self.put_bytes(&v.to_le_bytes());
+    }
+
+    /// Appends a whole array by reference: it is read only while the snapshot is
+    /// written (straight from memory, or encoded a chunk at a time), so no payload-sized
+    /// buffer is ever allocated.
+    pub fn records<T: LeRecord>(&mut self, values: &'a [T]) {
+        self.parts.push(Part::Borrowed(Box::new(values)));
+    }
+
+    fn byte_len(&self) -> usize {
+        self.parts.iter().map(Part::byte_len).sum()
+    }
+}
+
+impl fmt::Debug for Section<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Section")
+            .field("tag", &String::from_utf8_lossy(&self.tag))
+            .field("bytes", &self.byte_len())
+            .finish()
+    }
+}
+
+/// Describes a snapshot — fixed header, then checksummed sections — and streams it to a
+/// sink with [`SnapshotWriter::write_to`].
 ///
 /// Writes the current format (v2: 16-byte header, payloads zero-padded to 8 bytes so
 /// every payload starts 8-aligned). [`SnapshotWriter::with_version`] can produce a
-/// legacy v1 container for compatibility tooling and tests.
+/// legacy v1 container for compatibility tooling and tests. The large arrays are
+/// borrowed from the index (`'a`), so a writer costs a few small buffers however big
+/// the index is.
 #[derive(Debug)]
-pub struct SnapshotWriter {
+pub struct SnapshotWriter<'a> {
     kind: IndexKind,
     version: u16,
-    sections: Vec<([u8; 4], Vec<u8>)>,
+    sections: Vec<Section<'a>>,
 }
 
-impl SnapshotWriter {
+impl<'a> SnapshotWriter<'a> {
     /// Starts a snapshot of the given kind in the current format version.
     pub fn new(kind: IndexKind) -> Self {
         Self::with_version(kind, FORMAT_VERSION)
@@ -378,76 +536,135 @@ impl SnapshotWriter {
         Self { kind, version, sections: Vec::new() }
     }
 
-    /// Opens a new section and returns its payload buffer to append into. The length
-    /// and CRC32 are computed when the snapshot is finished.
-    pub fn section(&mut self, tag: [u8; 4]) -> &mut Vec<u8> {
-        self.sections.push((tag, Vec::new()));
-        &mut self.sections.last_mut().expect("section just pushed").1
+    /// Opens a new section and returns its payload to append into. The length and
+    /// CRC32 are computed when the snapshot is written.
+    pub fn section(&mut self, tag: [u8; 4]) -> &mut Section<'a> {
+        self.sections.push(Section { tag, parts: Vec::new() });
+        self.sections.last_mut().expect("section just pushed")
     }
 
-    /// Serializes the header and all sections into the final byte buffer.
-    pub fn finish(self) -> Vec<u8> {
-        let payload_total: usize = self.sections.iter().map(|(_, p)| p.len()).sum();
-        let mut out = Vec::with_capacity(
-            HEADER_LEN + self.sections.len() * (SECTION_HEADER_LEN + SECTION_ALIGN) + payload_total,
-        );
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&self.version.to_le_bytes());
-        out.push(self.kind.tag());
-        out.push(0); // reserved
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
+    /// Streams the header and every section into `out`. Borrowed arrays whose memory
+    /// already is their encoding ([`LeRecord::in_memory_le`]) are written as they are;
+    /// everything else goes through one buffer of [`WRITE_CHUNK`] bytes, and is encoded
+    /// twice: once for the section's CRC32 (which its header carries ahead of the
+    /// payload), then for the bytes themselves.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `out` returns; the bytes written so far are then a prefix of the
+    /// snapshot.
+    pub fn write_to(&self, out: &mut dyn Write) -> io::Result<()> {
+        let mut sink = ChunkSink { out, buf: Vec::with_capacity(WRITE_CHUNK), written: 0 };
+        sink.put(&MAGIC)?;
+        sink.put(&self.version.to_le_bytes())?;
+        sink.put(&[self.kind.tag(), 0])?; // kind, reserved
+        sink.put(&(self.sections.len() as u32).to_le_bytes())?;
         if self.version >= 2 {
-            out.extend_from_slice(&[0u8; 4]); // reserved; pads the header to 16 bytes
+            sink.put(&[0u8; 4])?; // reserved; pads the header to 16 bytes
         }
-        for (tag, payload) in &self.sections {
-            out.extend_from_slice(tag);
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&crc32(payload).to_le_bytes());
-            out.extend_from_slice(payload);
+        for section in &self.sections {
+            let crc = sink.crc(&section.parts)?;
+            sink.put(&section.tag)?;
+            sink.put(&(section.byte_len() as u64).to_le_bytes())?;
+            sink.put(&crc.to_le_bytes())?;
+            for part in &section.parts {
+                match part {
+                    Part::Owned(bytes) => sink.put(bytes)?,
+                    Part::Borrowed(records) => sink.put_records(records.as_ref())?,
+                }
+            }
             if self.version >= 2 {
                 // Zero padding keeps the next section header (and therefore the next
                 // payload) on an 8-byte boundary; the CRC covers the payload only.
-                let pad = out.len().next_multiple_of(SECTION_ALIGN) - out.len();
-                out.extend(std::iter::repeat_n(0u8, pad));
+                let pad = sink.written.next_multiple_of(SECTION_ALIGN) - sink.written;
+                sink.put(&[0u8; SECTION_ALIGN][..pad])?;
             }
         }
-        out
+        sink.flush()
     }
 }
 
-/// Little-endian append helpers for section payloads.
-pub mod wire {
-    use super::Scalar;
+/// The write side of [`SnapshotWriter::write_to`]: one fixed buffer, handed to the sink
+/// whenever it fills.
+struct ChunkSink<'w> {
+    out: &'w mut dyn Write,
+    buf: Vec<u8>,
+    /// Bytes put so far (flushed or buffered): the file offset of the next byte.
+    written: usize,
+}
 
-    /// Appends a `u32`.
-    pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64`.
-    pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f32`.
-    pub fn put_f32(buf: &mut Vec<u8>, v: Scalar) {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a whole scalar slice.
-    pub fn put_f32_slice(buf: &mut Vec<u8>, values: &[Scalar]) {
-        buf.reserve(values.len() * 4);
-        for &v in values {
-            buf.extend_from_slice(&v.to_le_bytes());
+impl ChunkSink<'_> {
+    fn put(&mut self, mut bytes: &[u8]) -> io::Result<()> {
+        while !bytes.is_empty() {
+            let (now, rest) = bytes.split_at(bytes.len().min(WRITE_CHUNK - self.buf.len()));
+            self.buf.extend_from_slice(now);
+            self.written += now.len();
+            bytes = rest;
+            if self.buf.len() == WRITE_CHUNK {
+                self.flush()?;
+            }
         }
+        Ok(())
     }
 
-    /// Appends a whole `u32` slice.
-    pub fn put_u32_slice(buf: &mut Vec<u8>, values: &[u32]) {
-        buf.reserve(values.len() * 4);
-        for &v in values {
-            buf.extend_from_slice(&v.to_le_bytes());
+    fn put_records(&mut self, records: &dyn Records) -> io::Result<()> {
+        if let Some(bytes) = records.in_memory_le() {
+            // Straight from the index, in one write. Besides skipping the copy, a large
+            // write lets the page cache keep the file in large folios: a mapped load's
+            // first touch and every later scan run measurably faster over those than
+            // over the 64 KiB folios chunked writes leave (EXPERIMENTS.md, "Snapshots
+            // stream from the index's own arrays").
+            self.flush()?;
+            self.out.write_all(bytes)?;
+            self.written += bytes.len();
+            return Ok(());
         }
+        let mut next = 0;
+        while next < records.count() {
+            let fit = (WRITE_CHUNK - self.buf.len()) / records.width();
+            if fit == 0 {
+                self.flush()?;
+                continue;
+            }
+            let end = records.count().min(next + fit);
+            records.encode(next..end, &mut self.buf);
+            self.written += (end - next) * records.width();
+            next = end;
+        }
+        Ok(())
+    }
+
+    /// The CRC32 of a payload, encoding the borrowed runs that need it through the
+    /// (flushed) buffer.
+    fn crc(&mut self, parts: &[Part<'_>]) -> io::Result<u32> {
+        self.flush()?;
+        let mut state = !0;
+        for part in parts {
+            match part {
+                Part::Owned(bytes) => state = kernels::crc32_update(state, bytes),
+                Part::Borrowed(records) => match records.in_memory_le() {
+                    Some(bytes) => state = kernels::crc32_update(state, bytes),
+                    None => {
+                        let per_chunk = WRITE_CHUNK / records.width();
+                        for start in (0..records.count()).step_by(per_chunk) {
+                            let end = records.count().min(start + per_chunk);
+                            records.encode(start..end, &mut self.buf);
+                            state = kernels::crc32_update(state, &self.buf);
+                            self.buf.clear();
+                        }
+                    }
+                },
+            }
+        }
+        Ok(!state)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if !self.buf.is_empty() {
+            self.out.write_all(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
     }
 }
 
@@ -742,15 +959,20 @@ impl<'a> Payload<'a> {
 mod tests {
     use super::*;
 
+    fn to_bytes(writer: &SnapshotWriter<'_>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        writer.write_to(&mut bytes).unwrap();
+        bytes
+    }
+
     #[test]
     fn writer_reader_round_trip() {
         let mut writer = SnapshotWriter::new(IndexKind::BallTree);
         let meta = writer.section(*b"META");
-        wire::put_u64(meta, 42);
-        wire::put_u32(meta, 7);
-        let body = writer.section(*b"PNTS");
-        wire::put_f32_slice(body, &[1.5, -2.25, 0.0]);
-        let bytes = writer.finish();
+        meta.put_u64(42);
+        meta.put_u32(7);
+        writer.section(*b"PNTS").records(&[1.5, -2.25, 0.0]);
+        let bytes = to_bytes(&writer);
 
         let mut reader = SnapshotReader::new(&bytes).unwrap();
         assert_eq!(reader.kind, IndexKind::BallTree);
@@ -765,22 +987,58 @@ mod tests {
         reader.finish().unwrap();
     }
 
+    /// Records without an in-memory encoding go through the chunk buffer: across many
+    /// chunks, with a tail and an owned run ahead of them in the buffer, they must
+    /// write and checksum exactly what the same values written from memory do.
+    #[test]
+    fn encoded_records_write_what_in_memory_records_write() {
+        struct Encoded(Scalar);
+        impl LeRecord for Encoded {
+            const WIDTH: usize = 4;
+
+            fn put_le(&self, out: &mut [u8]) {
+                self.0.put_le(out);
+            }
+        }
+        let values: Vec<Scalar> =
+            (0..3 * WRITE_CHUNK / 4 + 37).map(|i| i as Scalar * 0.37).collect();
+        let encoded: Vec<Encoded> = values.iter().map(|&v| Encoded(v)).collect();
+        let mut from_memory = SnapshotWriter::new(IndexKind::LinearScan);
+        from_memory.section(*b"META").put_u32(7);
+        let body = from_memory.section(*b"PNTS");
+        body.put_u64(values.len() as u64);
+        body.records(&values);
+        let mut through_buffer = SnapshotWriter::new(IndexKind::LinearScan);
+        through_buffer.section(*b"META").put_u32(7);
+        let body = through_buffer.section(*b"PNTS");
+        body.put_u64(values.len() as u64);
+        body.records(&encoded);
+        let bytes = to_bytes(&from_memory);
+        assert_eq!(to_bytes(&through_buffer), bytes);
+
+        let mut reader = SnapshotReader::new(&bytes).unwrap();
+        reader.section(*b"META").unwrap();
+        let mut body = reader.section(*b"PNTS").unwrap();
+        assert_eq!(body.get_u64_usize("count").unwrap(), values.len());
+        assert_eq!(body.get_f32_vec(values.len(), "values").unwrap(), values);
+    }
+
     #[test]
     fn header_errors_are_typed() {
         assert!(matches!(
             SnapshotReader::new(&[]),
             Err(StoreError::Truncated { context: "file header" })
         ));
-        let mut bytes = SnapshotWriter::new(IndexKind::LinearScan).finish();
+        let mut bytes = to_bytes(&SnapshotWriter::new(IndexKind::LinearScan));
         bytes[0] = b'X';
         assert!(matches!(SnapshotReader::new(&bytes), Err(StoreError::BadMagic { .. })));
-        let mut bytes = SnapshotWriter::new(IndexKind::LinearScan).finish();
+        let mut bytes = to_bytes(&SnapshotWriter::new(IndexKind::LinearScan));
         bytes[4] = 99;
         assert!(matches!(
             SnapshotReader::new(&bytes),
             Err(StoreError::UnsupportedVersion { found: 99, .. })
         ));
-        let mut bytes = SnapshotWriter::new(IndexKind::LinearScan).finish();
+        let mut bytes = to_bytes(&SnapshotWriter::new(IndexKind::LinearScan));
         bytes[6] = 17;
         assert!(matches!(SnapshotReader::new(&bytes), Err(StoreError::UnknownKind(17))));
     }
@@ -788,8 +1046,8 @@ mod tests {
     #[test]
     fn section_errors_are_typed() {
         let mut writer = SnapshotWriter::new(IndexKind::BcTree);
-        wire::put_u32(writer.section(*b"META"), 5);
-        let good = writer.finish();
+        writer.section(*b"META").put_u32(5);
+        let good = to_bytes(&writer);
 
         // Wrong expected tag.
         let mut reader = SnapshotReader::new(&good).unwrap();
@@ -828,8 +1086,8 @@ mod tests {
     #[test]
     fn payload_reads_are_bounds_checked() {
         let mut writer = SnapshotWriter::new(IndexKind::LinearScan);
-        wire::put_u32(writer.section(*b"META"), 1);
-        let bytes = writer.finish();
+        writer.section(*b"META").put_u32(1);
+        let bytes = to_bytes(&writer);
         let mut reader = SnapshotReader::new(&bytes).unwrap();
         let mut payload = reader.section(*b"META").unwrap();
         assert!(matches!(payload.get_u64("too long"), Err(StoreError::Truncated { .. })));

@@ -15,7 +15,9 @@
 //!   [`p2h_hash::NhIndex`] / [`p2h_hash::FhIndex`] (their sampled transforms and
 //!   projection matrices get their own sections); arrays are stored verbatim, so a
 //!   loaded index returns **bit-identical** search results to the original on the
-//!   same kernel backend,
+//!   same kernel backend. A save streams those arrays from the index itself (straight
+//!   from memory where they already are their encoding, else through one
+//!   [`format::WRITE_CHUNK`] buffer) and never copies its payload,
 //! * a directory-level [`Store`] — named snapshots plus a `MANIFEST` file, which is
 //!   what `p2h_engine::IndexRegistry::open_dir` / `Engine::from_store` consume to
 //!   cold-start a serving process. Besides single snapshots the manifest can register

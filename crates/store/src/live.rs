@@ -15,21 +15,20 @@
 //! The store stays deliberately ignorant of live semantics: it validates, stages,
 //! loads, and atomically commits the files, while `p2h-live` owns WAL replay,
 //! memtable reconstruction, and compaction. Everything committed here is durable:
-//! staged files are fsynced before the rename, and the directory is fsynced after
-//! every manifest commit, so a crash immediately after an epoch swap cannot lose it.
+//! staged files are fsynced before the rename (the durable mode of the store's one
+//! staging helper), and the directory is fsynced after every manifest commit, so a
+//! crash immediately after an epoch swap cannot lose it.
 
-use std::fs::{self, File};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::fs;
+use std::io::{self, Write};
+use std::path::PathBuf;
 
 use p2h_core::VecBuf;
 
 use crate::format::{
-    io_error, wire, IndexKind, SnapshotReader, SnapshotSource, SnapshotWriter, StoreError,
-    StoreResult,
+    IndexKind, SnapshotReader, SnapshotSource, SnapshotWriter, StoreError, StoreResult,
 };
-use crate::retry::retry_interrupted;
-use crate::snapshot::tags;
+use crate::snapshot::{stage_file, tags, Snapshot};
 use crate::store::{
     decode_any_src, validate_file_column, validate_name, LiveEntryFiles, LoadedIndex,
     ManifestEntry, Store, StoreEntry, SNAPSHOT_EXT,
@@ -53,16 +52,20 @@ pub struct LiveIdsSnapshot {
 }
 
 impl LiveIdsSnapshot {
-    /// Serializes the id file into a self-contained snapshot byte buffer.
-    pub fn encode(&self) -> Vec<u8> {
+    /// Streams the id file into `out` as a self-contained snapshot, the ids borrowed.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `out` returns.
+    pub fn write_to(&self, out: &mut dyn Write) -> io::Result<()> {
         let mut writer = SnapshotWriter::new(IndexKind::LiveIds);
         let meta = writer.section(tags::LMET);
-        wire::put_u64(meta, self.epoch);
-        wire::put_u64(meta, self.dim as u64);
-        wire::put_u32(meta, self.next_id);
-        wire::put_u64(meta, self.ids.len() as u64);
-        wire::put_u32_slice(writer.section(tags::LIDS), &self.ids);
-        writer.finish()
+        meta.put_u64(self.epoch);
+        meta.put_u64(self.dim as u64);
+        meta.put_u32(self.next_id);
+        meta.put_u64(self.ids.len() as u64);
+        writer.section(tags::LIDS).records(&self.ids);
+        writer.write_to(out)
     }
 
     /// Restores an id file from a decode source, with the same hostile-input
@@ -118,25 +121,6 @@ pub fn live_base_file(name: &str, epoch: u64) -> String {
 /// The WAL segment file name of epoch `epoch` of live entry `name`.
 pub fn live_wal_file(name: &str, epoch: u64) -> String {
     format!("{name}.l{epoch}.wal")
-}
-
-/// Writes `bytes` to `path` durably: temporary sibling, fsync, atomic rename, then a
-/// directory fsync. Unlike the plain snapshot writer this survives power loss — live
-/// epoch files must be durable *before* the manifest references them.
-fn write_file_durably(path: &Path, bytes: &[u8]) -> StoreResult<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = Path::new(&tmp);
-    let mut file =
-        retry_interrupted("store.write", || File::create(tmp)).map_err(|e| io_error(tmp, e))?;
-    retry_interrupted("store.write", || file.write_all(bytes)).map_err(|e| io_error(tmp, e))?;
-    retry_interrupted("store.write", || file.sync_all()).map_err(|e| io_error(tmp, e))?;
-    drop(file);
-    retry_interrupted("store.write", || fs::rename(tmp, path)).map_err(|e| io_error(path, e))?;
-    match path.parent() {
-        Some(dir) => fsync_dir(dir),
-        None => Ok(()),
-    }
 }
 
 impl Store {
@@ -227,10 +211,11 @@ impl Store {
     }
 
     /// Durably stages a live id file under `file` (fsynced before the rename; not
-    /// yet referenced by the manifest until [`Store::commit_live`]).
+    /// yet referenced by the manifest until [`Store::commit_live`]). Live epoch files
+    /// must survive power loss *before* the manifest references them.
     pub fn save_live_ids(&self, file: &str, snapshot: &LiveIdsSnapshot) -> StoreResult<()> {
         validate_file_column(file, 0)?;
-        write_file_durably(&self.dir().join(file), &snapshot.encode())
+        stage_file(&self.dir().join(file), true, |out| snapshot.write_to(out))
     }
 
     /// Loads and validates a live id file under this handle's load mode.
@@ -240,12 +225,12 @@ impl Store {
         LiveIdsSnapshot::decode_src(owner.as_src())
     }
 
-    /// Durably stages an encoded index snapshot under `file` — the base snapshot of
-    /// a live epoch, produced by compaction and committed later via
-    /// [`Store::commit_live`].
-    pub fn save_live_snapshot(&self, file: &str, bytes: &[u8]) -> StoreResult<()> {
+    /// Durably stages a snapshot of `index` under `file` — the base snapshot of a
+    /// live epoch, produced by compaction and committed later via
+    /// [`Store::commit_live`]. The snapshot streams from the index's own arrays.
+    pub fn save_live_snapshot<S: Snapshot>(&self, file: &str, index: &S) -> StoreResult<()> {
         validate_file_column(file, 0)?;
-        write_file_durably(&self.dir().join(file), bytes)
+        stage_file(&self.dir().join(file), true, |out| index.write_snapshot(out))
     }
 
     /// Loads a live entry's base snapshot as whichever index kind it holds, under
@@ -282,6 +267,12 @@ mod tests {
     use super::*;
     use crate::test_support::TestDir;
 
+    fn encode(snapshot: &LiveIdsSnapshot) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        snapshot.write_to(&mut bytes).unwrap();
+        bytes
+    }
+
     fn sample_ids(epoch: u64) -> LiveIdsSnapshot {
         LiveIdsSnapshot { epoch, dim: 4, next_id: 10, ids: vec![0u32, 2, 3, 7].into() }
     }
@@ -289,7 +280,7 @@ mod tests {
     #[test]
     fn ids_snapshot_round_trip() {
         let snap = sample_ids(3);
-        let decoded = LiveIdsSnapshot::decode(&snap.encode()).unwrap();
+        let decoded = LiveIdsSnapshot::decode(&encode(&snap)).unwrap();
         assert_eq!(decoded.epoch, 3);
         assert_eq!(decoded.dim, 4);
         assert_eq!(decoded.next_id, 10);
@@ -300,15 +291,15 @@ mod tests {
     fn ids_snapshot_rejects_disorder_and_overflowing_ids() {
         let mut snap = sample_ids(0);
         snap.ids = vec![0u32, 2, 2].into();
-        assert!(matches!(LiveIdsSnapshot::decode(&snap.encode()), Err(StoreError::Invalid(_))));
+        assert!(matches!(LiveIdsSnapshot::decode(&encode(&snap)), Err(StoreError::Invalid(_))));
         let mut snap = sample_ids(0);
         snap.ids = vec![0u32, 11].into(); // 11 ≥ next_id of 10
-        assert!(matches!(LiveIdsSnapshot::decode(&snap.encode()), Err(StoreError::Invalid(_))));
+        assert!(matches!(LiveIdsSnapshot::decode(&encode(&snap)), Err(StoreError::Invalid(_))));
     }
 
     #[test]
     fn ids_snapshot_hostile_truncation_is_typed() {
-        let bytes = sample_ids(1).encode();
+        let bytes = encode(&sample_ids(1));
         for cut in 0..bytes.len() {
             assert!(LiveIdsSnapshot::decode(&bytes[..cut]).is_err(), "cut {cut} decoded");
         }

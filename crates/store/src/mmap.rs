@@ -2,13 +2,15 @@
 //!
 //! **This module is the only place in the workspace that contains `unsafe` code for
 //! the storage layer** (the crate root carries `#![deny(unsafe_code)]`; this module is
-//! exempted). Two operations need it, both confined here:
+//! exempted). Three operations need it, all confined here:
 //!
 //! 1. the raw `mmap(2)`/`munmap(2)` externs (no `libc` crate dependency — the build
 //!    container is offline, and `std` already links the C library these symbols live
-//!    in), and
+//!    in),
 //! 2. the `[u8] → [f32]`/`[u8] → [u32]` reinterpretation that serves typed slices to
-//!    [`p2h_core::VecBuf`] through the safe [`BufBacking`] trait.
+//!    [`p2h_core::VecBuf`] through the safe [`BufBacking`] trait, and
+//! 3. its reverse for the writer, [`le_bytes`]: an index's `f32`/`u32` arrays viewed
+//!    as the bytes a snapshot stores, so a save writes them without encoding.
 //!
 //! Soundness relies on three facts, each enforced before a cast happens:
 //!
@@ -261,6 +263,19 @@ impl MmapRegion {
         // outlives the returned borrow.
         unsafe { std::slice::from_raw_parts(ptr.cast::<T>(), len) }
     }
+}
+
+/// The bytes of `values` as they sit in memory — on a little-endian target exactly
+/// their little-endian encoding, which a save can then checksum and write as they are.
+/// `None` on a big-endian target, where the writer encodes them instead.
+pub(crate) fn le_bytes<T: p2h_core::BufElem>(values: &[T]) -> Option<&[u8]> {
+    if cfg!(target_endian = "big") {
+        return None;
+    }
+    // SAFETY: `BufElem` is sealed to `f32` and `u32`: no padding, every byte of a value
+    // initialised. `u8` has alignment 1, and the length is exactly the slice's size in
+    // bytes, so the view covers the borrowed slice and nothing else, for its lifetime.
+    Some(unsafe { std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), size_of_val(values)) })
 }
 
 impl BufBacking for MmapRegion {

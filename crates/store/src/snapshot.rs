@@ -8,7 +8,8 @@
 //! in a snapshot depends on whether it was written by an AVX2, NEON, or scalar build
 //! (the `META` section records the writing backend purely as a provenance note).
 
-use std::fs;
+use std::fs::{self, File};
+use std::io::{self, Write};
 use std::path::Path;
 
 use p2h_balltree::{BallTree, BcTree, BcTreeParts, LeafPointAux, Node};
@@ -16,10 +17,11 @@ use p2h_core::{kernels, LinearScan, P2hIndex, PointSet, Scalar, VecBuf};
 use p2h_hash::{FhIndex, FhParams, NhIndex, NhParams, ProjectionTables, QuadraticTransform};
 
 use crate::format::{
-    wire, IndexKind, Payload, SnapshotReader, SnapshotSource, SnapshotWriter, StoreError,
-    StoreResult,
+    io_error, IndexKind, LeRecord, Payload, Section, SnapshotReader, SnapshotSource,
+    SnapshotWriter, StoreError, StoreResult,
 };
 use crate::mmap::{LoadMode, SourceOwner};
+use crate::retry::retry_interrupted;
 
 /// Section tags of format version 1.
 pub(crate) mod tags {
@@ -62,9 +64,22 @@ pub trait Snapshot: P2hIndex + Sized {
     /// The index-kind tag this type writes into the snapshot header.
     const KIND: IndexKind;
 
-    /// Serializes the index into a self-contained snapshot byte buffer (current
-    /// container version).
-    fn encode_snapshot(&self) -> Vec<u8>;
+    /// Streams the index as a self-contained snapshot (current container version) into
+    /// `out`, from the index's own arrays ([`SnapshotWriter::write_to`]), so writing
+    /// costs no payload-sized buffer.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `out` returns.
+    fn write_snapshot(&self, out: &mut dyn Write) -> io::Result<()>;
+
+    /// The snapshot as one byte buffer: [`Snapshot::write_snapshot`] into a `Vec`, for
+    /// tests and tooling that inspect or corrupt the bytes.
+    fn encode_snapshot(&self) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        self.write_snapshot(&mut bytes).expect("writing to a Vec cannot fail");
+        bytes
+    }
 
     /// Restores an index from a decode source: either plain bytes (copying) or a
     /// shared memory-mapped region, in which case every large array comes back as a
@@ -92,7 +107,7 @@ pub trait Snapshot: P2hIndex + Sized {
     /// Writes the snapshot to `path` (via a `.tmp` sibling + rename, so a crashed
     /// writer never leaves a half-written file under the final name).
     fn save_snapshot(&self, path: &Path) -> StoreResult<()> {
-        write_file_atomically(path, &self.encode_snapshot())
+        stage_file(path, false, |out| self.write_snapshot(out))
     }
 
     /// Reads and restores a snapshot from `path` by copying.
@@ -110,15 +125,36 @@ pub trait Snapshot: P2hIndex + Sized {
     }
 }
 
-/// Writes `bytes` to `path` through a temporary sibling and an atomic rename.
-pub(crate) fn write_file_atomically(path: &Path, bytes: &[u8]) -> StoreResult<()> {
+/// Writes a file through a temporary sibling and an atomic rename: `write` streams the
+/// contents into `<path>.tmp`, which then replaces `path`, so a crashed or failed
+/// writer never leaves a half-written file under the final name.
+///
+/// `durable` adds the fsyncs that make the file survive power loss before anything
+/// refers to it: of the `.tmp` before the rename, and of the directory after. A
+/// `store.write` EINTR restarts the whole staged write from a truncated `.tmp`, so
+/// `write` must be able to run more than once.
+pub(crate) fn stage_file(
+    path: &Path,
+    durable: bool,
+    mut write: impl FnMut(&mut dyn Write) -> io::Result<()>,
+) -> StoreResult<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = Path::new(&tmp);
-    crate::retry::retry_interrupted("store.write", || fs::write(tmp, bytes))
-        .map_err(|e| crate::format::io_error(tmp, e))?;
-    crate::retry::retry_interrupted("store.write", || fs::rename(tmp, path))
-        .map_err(|e| crate::format::io_error(path, e))
+    retry_interrupted("store.write", || {
+        let mut file = File::create(tmp)?;
+        write(&mut file)?;
+        if durable {
+            file.sync_all()?;
+        }
+        Ok(())
+    })
+    .map_err(|e| io_error(tmp, e))?;
+    retry_interrupted("store.write", || fs::rename(tmp, path)).map_err(|e| io_error(path, e))?;
+    match path.parent() {
+        Some(dir) if durable => crate::wal::fsync_dir(dir),
+        _ => Ok(()),
+    }
 }
 
 /// The `META` section contents shared by every index kind.
@@ -140,15 +176,15 @@ pub struct SnapshotMeta {
 }
 
 impl SnapshotMeta {
-    fn write(&self, payload: &mut Vec<u8>) {
-        wire::put_u64(payload, self.dim as u64);
-        wire::put_u64(payload, self.count as u64);
-        wire::put_u64(payload, self.node_count as u64);
-        wire::put_u64(payload, self.leaf_size as u64);
-        wire::put_u64(payload, self.build_seed);
+    fn write(&self, payload: &mut Section<'_>) {
+        payload.put_u64(self.dim as u64);
+        payload.put_u64(self.count as u64);
+        payload.put_u64(self.node_count as u64);
+        payload.put_u64(self.leaf_size as u64);
+        payload.put_u64(self.build_seed);
         let note = self.note.as_bytes();
-        wire::put_u32(payload, note.len() as u32);
-        payload.extend_from_slice(note);
+        payload.put_u32(note.len() as u32);
+        payload.put_bytes(note);
     }
 
     fn read(mut payload: Payload<'_>) -> StoreResult<Self> {
@@ -215,17 +251,52 @@ fn read_points(
     Ok(points)
 }
 
+/// A node arena entry as `NODE` stores it: 24 bytes, fields in declaration order.
+impl LeRecord for Node {
+    const WIDTH: usize = 24;
+
+    fn put_le(&self, out: &mut [u8]) {
+        out[0..4].copy_from_slice(&self.center_offset.to_le_bytes());
+        out[4..8].copy_from_slice(&self.radius.to_le_bytes());
+        out[8..12].copy_from_slice(&self.start.to_le_bytes());
+        out[12..16].copy_from_slice(&self.end.to_le_bytes());
+        out[16..20].copy_from_slice(&self.left.to_le_bytes());
+        out[20..24].copy_from_slice(&self.right.to_le_bytes());
+    }
+}
+
+/// A point's leaf structures as `AUXD` stores them: radius, `x_cos`, `x_sin`.
+impl LeRecord for LeafPointAux {
+    const WIDTH: usize = 12;
+
+    fn put_le(&self, out: &mut [u8]) {
+        out[0..4].copy_from_slice(&self.radius.to_le_bytes());
+        out[4..8].copy_from_slice(&self.x_cos.to_le_bytes());
+        out[8..12].copy_from_slice(&self.x_sin.to_le_bytes());
+    }
+}
+
+/// A transform's coordinate pair as `TPRS` stores it.
+impl LeRecord for (u32, u32) {
+    const WIDTH: usize = 8;
+
+    fn put_le(&self, out: &mut [u8]) {
+        out[0..4].copy_from_slice(&self.0.to_le_bytes());
+        out[4..8].copy_from_slice(&self.1.to_le_bytes());
+    }
+}
+
 /// Starts a tree snapshot with the sections both tree kinds store: `META`, `PNTS`,
-/// `IDS`, `NODE` and `CNTR`.
-fn tree_writer(
+/// `IDS`, `NODE` and `CNTR`, every array borrowed from the tree.
+fn tree_writer<'a>(
     kind: IndexKind,
-    points: &PointSet,
-    ids: &[u32],
-    nodes: &[Node],
-    centers: &[Scalar],
+    points: &'a PointSet,
+    ids: &'a [u32],
+    nodes: &'a [Node],
+    centers: &'a [Scalar],
     leaf_size: usize,
     build_seed: u64,
-) -> SnapshotWriter {
+) -> SnapshotWriter<'a> {
     let meta = SnapshotMeta {
         dim: points.dim(),
         count: points.len(),
@@ -236,19 +307,10 @@ fn tree_writer(
     };
     let mut writer = SnapshotWriter::new(kind);
     meta.write(writer.section(tags::META));
-    wire::put_f32_slice(writer.section(tags::PNTS), points.as_flat());
-    wire::put_u32_slice(writer.section(tags::IDS), ids);
-    let payload = writer.section(tags::NODE);
-    payload.reserve(nodes.len() * 24);
-    for node in nodes {
-        wire::put_u32(payload, node.center_offset);
-        wire::put_f32(payload, node.radius);
-        wire::put_u32(payload, node.start);
-        wire::put_u32(payload, node.end);
-        wire::put_u32(payload, node.left);
-        wire::put_u32(payload, node.right);
-    }
-    wire::put_f32_slice(writer.section(tags::CNTR), centers);
+    writer.section(tags::PNTS).records(points.as_flat());
+    writer.section(tags::IDS).records(ids);
+    writer.section(tags::NODE).records(nodes);
+    writer.section(tags::CNTR).records(centers);
     writer
 }
 
@@ -299,7 +361,7 @@ fn read_tree_sections(
 impl Snapshot for LinearScan {
     const KIND: IndexKind = IndexKind::LinearScan;
 
-    fn encode_snapshot(&self) -> Vec<u8> {
+    fn write_snapshot(&self, out: &mut dyn Write) -> io::Result<()> {
         let points = self.points();
         let meta = SnapshotMeta {
             dim: points.dim(),
@@ -311,8 +373,8 @@ impl Snapshot for LinearScan {
         };
         let mut writer = SnapshotWriter::new(Self::KIND);
         meta.write(writer.section(tags::META));
-        wire::put_f32_slice(writer.section(tags::PNTS), points.as_flat());
-        writer.finish()
+        writer.section(tags::PNTS).records(points.as_flat());
+        writer.write_to(out)
     }
 
     fn decode_snapshot_src(src: SnapshotSource<'_>) -> StoreResult<Self> {
@@ -329,7 +391,7 @@ impl Snapshot for LinearScan {
 impl Snapshot for BallTree {
     const KIND: IndexKind = IndexKind::BallTree;
 
-    fn encode_snapshot(&self) -> Vec<u8> {
+    fn write_snapshot(&self, out: &mut dyn Write) -> io::Result<()> {
         tree_writer(
             Self::KIND,
             self.points(),
@@ -339,7 +401,7 @@ impl Snapshot for BallTree {
             self.leaf_size(),
             self.build_seed(),
         )
-        .finish()
+        .write_to(out)
     }
 
     fn decode_snapshot_src(src: SnapshotSource<'_>) -> StoreResult<Self> {
@@ -358,7 +420,7 @@ impl Snapshot for BallTree {
 impl Snapshot for BcTree {
     const KIND: IndexKind = IndexKind::BcTree;
 
-    fn encode_snapshot(&self) -> Vec<u8> {
+    fn write_snapshot(&self, out: &mut dyn Write) -> io::Result<()> {
         let mut writer = tree_writer(
             Self::KIND,
             self.points(),
@@ -368,15 +430,9 @@ impl Snapshot for BcTree {
             self.leaf_size(),
             self.build_seed(),
         );
-        wire::put_f32_slice(writer.section(tags::NORM), self.center_norms());
-        let aux_payload = writer.section(tags::AUXD);
-        aux_payload.reserve(self.leaf_aux().len() * 12);
-        for aux in self.leaf_aux() {
-            wire::put_f32(aux_payload, aux.radius);
-            wire::put_f32(aux_payload, aux.x_cos);
-            wire::put_f32(aux_payload, aux.x_sin);
-        }
-        writer.finish()
+        writer.section(tags::NORM).records(self.center_norms());
+        writer.section(tags::AUXD).records(self.leaf_aux());
+        writer.write_to(out)
     }
 
     fn decode_snapshot_src(src: SnapshotSource<'_>) -> StoreResult<Self> {
@@ -417,15 +473,11 @@ impl Snapshot for BcTree {
 // ---------------------------------------------------------------------------
 
 /// Serializes a sampled quadratic transform into a `TPRS` payload.
-fn write_transform(payload: &mut Vec<u8>, transform: &QuadraticTransform) {
-    wire::put_u64(payload, transform.input_dim() as u64);
-    wire::put_f32(payload, transform.scale());
-    wire::put_u64(payload, transform.pairs().len() as u64);
-    payload.reserve(transform.pairs().len() * 8);
-    for &(i, j) in transform.pairs() {
-        wire::put_u32(payload, i);
-        wire::put_u32(payload, j);
-    }
+fn write_transform<'a>(payload: &mut Section<'a>, transform: &'a QuadraticTransform) {
+    payload.put_u64(transform.input_dim() as u64);
+    payload.put_f32(transform.scale());
+    payload.put_u64(transform.pairs().len() as u64);
+    payload.records(transform.pairs());
 }
 
 /// Restores a transform from a `TPRS` payload (full structural validation via
@@ -447,13 +499,13 @@ fn read_transform(mut payload: Payload<'_>) -> StoreResult<QuadraticTransform> {
 /// then the sorted values (`m × n` f32, table-major) and the matching ids (`m × n`
 /// u32). The struct-of-arrays layout (v2) is what lets the zero-copy loader serve the
 /// value and id arrays as typed windows; v1 interleaved the `(value, id)` pairs.
-fn write_projection_tables(payload: &mut Vec<u8>, tables: &ProjectionTables) {
-    wire::put_u64(payload, tables.dim() as u64);
-    wire::put_u64(payload, tables.table_count() as u64);
-    wire::put_u64(payload, tables.len() as u64);
-    wire::put_f32_slice(payload, tables.directions());
-    wire::put_f32_slice(payload, tables.values());
-    wire::put_u32_slice(payload, tables.ids());
+fn write_projection_tables<'a>(payload: &mut Section<'a>, tables: &'a ProjectionTables) {
+    payload.put_u64(tables.dim() as u64);
+    payload.put_u64(tables.table_count() as u64);
+    payload.put_u64(tables.len() as u64);
+    payload.records(tables.directions());
+    payload.records(tables.values());
+    payload.records(tables.ids());
 }
 
 /// Restores projection tables from a payload (sortedness and per-table permutations are
@@ -489,7 +541,7 @@ fn read_projection_tables(
 impl Snapshot for NhIndex {
     const KIND: IndexKind = IndexKind::Nh;
 
-    fn encode_snapshot(&self) -> Vec<u8> {
+    fn write_snapshot(&self, out: &mut dyn Write) -> io::Result<()> {
         let points = self.points();
         let meta = SnapshotMeta {
             dim: points.dim(),
@@ -502,15 +554,15 @@ impl Snapshot for NhIndex {
         let mut writer = SnapshotWriter::new(Self::KIND);
         meta.write(writer.section(tags::META));
         let params = writer.section(tags::NHPR);
-        wire::put_u64(params, self.params().lambda_factor as u64);
-        wire::put_u64(params, self.params().tables as u64);
-        wire::put_u64(params, self.params().collision_threshold as u64);
-        wire::put_u64(params, self.params().seed);
-        wire::put_f32(params, self.alignment_constant());
-        wire::put_f32_slice(writer.section(tags::PNTS), points.as_flat());
+        params.put_u64(self.params().lambda_factor as u64);
+        params.put_u64(self.params().tables as u64);
+        params.put_u64(self.params().collision_threshold as u64);
+        params.put_u64(self.params().seed);
+        params.put_f32(self.alignment_constant());
+        writer.section(tags::PNTS).records(points.as_flat());
         write_transform(writer.section(tags::TPRS), self.transform());
         write_projection_tables(writer.section(tags::PROJ), self.tables());
-        writer.finish()
+        writer.write_to(out)
     }
 
     fn decode_snapshot_src(src: SnapshotSource<'_>) -> StoreResult<Self> {
@@ -541,7 +593,7 @@ impl Snapshot for NhIndex {
 impl Snapshot for FhIndex {
     const KIND: IndexKind = IndexKind::Fh;
 
-    fn encode_snapshot(&self) -> Vec<u8> {
+    fn write_snapshot(&self, out: &mut dyn Write) -> io::Result<()> {
         let points = self.points();
         let meta = SnapshotMeta {
             dim: points.dim(),
@@ -554,22 +606,22 @@ impl Snapshot for FhIndex {
         let mut writer = SnapshotWriter::new(Self::KIND);
         meta.write(writer.section(tags::META));
         let params = writer.section(tags::FHPR);
-        wire::put_u64(params, self.params().lambda_factor as u64);
-        wire::put_u64(params, self.params().tables as u64);
-        wire::put_u64(params, self.params().partitions as u64);
-        wire::put_u64(params, self.params().collision_threshold as u64);
-        wire::put_u64(params, self.params().seed);
-        wire::put_u64(params, self.partition_count() as u64);
-        wire::put_f32_slice(writer.section(tags::PNTS), points.as_flat());
+        params.put_u64(self.params().lambda_factor as u64);
+        params.put_u64(self.params().tables as u64);
+        params.put_u64(self.params().partitions as u64);
+        params.put_u64(self.params().collision_threshold as u64);
+        params.put_u64(self.params().seed);
+        params.put_u64(self.partition_count() as u64);
+        writer.section(tags::PNTS).records(points.as_flat());
         write_transform(writer.section(tags::TPRS), self.transform());
         for p in 0..self.partition_count() {
             let payload = writer.section(tags::PRTN);
             let ids = self.partition_ids(p);
-            wire::put_u64(payload, ids.len() as u64);
-            wire::put_u32_slice(payload, ids);
+            payload.put_u64(ids.len() as u64);
+            payload.records(ids);
             write_projection_tables(payload, self.partition_tables(p));
         }
-        writer.finish()
+        writer.write_to(out)
     }
 
     fn decode_snapshot_src(src: SnapshotSource<'_>) -> StoreResult<Self> {

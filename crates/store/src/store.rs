@@ -42,11 +42,10 @@ use p2h_core::{LinearScan, P2hIndex, VecBuf};
 use p2h_hash::{FhIndex, NhIndex};
 
 use crate::format::{
-    io_error, wire, IndexKind, SnapshotReader, SnapshotSource, SnapshotWriter, StoreError,
-    StoreResult,
+    io_error, IndexKind, SnapshotReader, SnapshotSource, SnapshotWriter, StoreError, StoreResult,
 };
 use crate::mmap::{LoadMode, SourceOwner};
-use crate::snapshot::{tags, write_file_atomically, Snapshot};
+use crate::snapshot::{stage_file, tags, Snapshot};
 
 /// Name of the manifest file inside a store directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -342,15 +341,19 @@ impl LoadedIndex {
         }
     }
 
-    /// Serializes the held index into a snapshot byte buffer (dispatching to the
-    /// variant's [`Snapshot::encode_snapshot`]).
-    pub fn encode_snapshot(&self) -> Vec<u8> {
+    /// Streams the held index as a snapshot into `out` (dispatching to the variant's
+    /// [`Snapshot::write_snapshot`]).
+    ///
+    /// # Errors
+    ///
+    /// Whatever `out` returns.
+    pub fn write_snapshot(&self, out: &mut dyn std::io::Write) -> std::io::Result<()> {
         match self {
-            LoadedIndex::LinearScan(index) => index.encode_snapshot(),
-            LoadedIndex::BallTree(index) => index.encode_snapshot(),
-            LoadedIndex::BcTree(index) => index.encode_snapshot(),
-            LoadedIndex::Nh(index) => index.encode_snapshot(),
-            LoadedIndex::Fh(index) => index.encode_snapshot(),
+            LoadedIndex::LinearScan(index) => index.write_snapshot(out),
+            LoadedIndex::BallTree(index) => index.write_snapshot(out),
+            LoadedIndex::BcTree(index) => index.write_snapshot(out),
+            LoadedIndex::Nh(index) => index.write_snapshot(out),
+            LoadedIndex::Fh(index) => index.write_snapshot(out),
         }
     }
 }
@@ -477,23 +480,23 @@ fn validate_group(
     Ok(())
 }
 
-/// Encodes the shard-group map file (kind [`IndexKind::ShardMap`]): one `GMET` section
-/// followed by one `SIDS` section per shard.
-fn encode_shard_map(meta: &ShardGroupMeta, id_maps: &[VecBuf<u32>]) -> Vec<u8> {
+/// The shard-group map file (kind [`IndexKind::ShardMap`]): one `GMET` section
+/// followed by one `SIDS` section per shard, the id maps borrowed.
+fn shard_map_writer<'a>(meta: &ShardGroupMeta, id_maps: &'a [VecBuf<u32>]) -> SnapshotWriter<'a> {
     let mut writer = SnapshotWriter::new(IndexKind::ShardMap);
     let payload = writer.section(tags::GMET);
-    wire::put_u32(payload, meta.partitioner_tag);
-    wire::put_u64(payload, meta.requested_shards);
-    wire::put_u64(payload, id_maps.len() as u64);
-    wire::put_u64(payload, meta.total_count as u64);
-    wire::put_u64(payload, meta.dim as u64);
-    wire::put_u64(payload, meta.build_seed);
+    payload.put_u32(meta.partitioner_tag);
+    payload.put_u64(meta.requested_shards);
+    payload.put_u64(id_maps.len() as u64);
+    payload.put_u64(meta.total_count as u64);
+    payload.put_u64(meta.dim as u64);
+    payload.put_u64(meta.build_seed);
     for ids in id_maps {
         let payload = writer.section(tags::SIDS);
-        wire::put_u64(payload, ids.len() as u64);
-        wire::put_u32_slice(payload, ids);
+        payload.put_u64(ids.len() as u64);
+        payload.records(ids);
     }
-    writer.finish()
+    writer
 }
 
 /// Decodes a shard-group map file into its metadata and id mappings (buffer-backed:
@@ -575,7 +578,9 @@ impl Store {
         fs::create_dir_all(dir).map_err(|e| io_error(dir, e))?;
         let manifest_path = dir.join(MANIFEST_FILE);
         if !manifest_path.exists() {
-            write_file_atomically(&manifest_path, Manifest::default().render().as_bytes())?;
+            stage_file(&manifest_path, false, |out| {
+                out.write_all(Manifest::default().render().as_bytes())
+            })?;
         }
         Self::open(dir)
     }
@@ -747,10 +752,11 @@ impl Store {
         let mut shard_files = Vec::with_capacity(shards.len());
         for (ordinal, shard) in shards.iter().enumerate() {
             let file = format!("{name}.g{epoch}.s{ordinal}.{SNAPSHOT_EXT}");
-            write_file_atomically(&self.dir.join(&file), &shard.encode_snapshot())?;
+            stage_file(&self.dir.join(&file), false, |out| shard.write_snapshot(out))?;
             shard_files.push(file);
         }
-        write_file_atomically(&self.dir.join(&map_file), &encode_shard_map(meta, id_maps))?;
+        let map = shard_map_writer(meta, id_maps);
+        stage_file(&self.dir.join(&map_file), false, |out| map.write_to(out))?;
 
         let replaced = manifest
             .entries
@@ -919,7 +925,8 @@ impl Store {
     }
 
     pub(crate) fn commit_manifest(&self, manifest: &Manifest) -> StoreResult<()> {
-        write_file_atomically(&self.dir.join(MANIFEST_FILE), manifest.render().as_bytes())
+        let text = manifest.render();
+        stage_file(&self.dir.join(MANIFEST_FILE), false, |out| out.write_all(text.as_bytes()))
     }
 
     /// Deletes the files of a replaced entry that the new entry no longer references.
@@ -1150,7 +1157,8 @@ mod tests {
             build_seed: 0,
         };
         let id_maps: Vec<VecBuf<u32>> = vec![vec![0u32, 1].into()];
-        let bytes = encode_shard_map(&meta, &id_maps);
+        let mut bytes = Vec::new();
+        shard_map_writer(&meta, &id_maps).write_to(&mut bytes).unwrap();
         let (decoded_meta, decoded_maps) = decode_shard_map(SnapshotSource::Bytes(&bytes)).unwrap();
         assert_eq!(decoded_meta.total_count, 1usize << 45);
         let shard = LoadedIndex::LinearScan(LinearScan::new(
@@ -1172,7 +1180,8 @@ mod tests {
             build_seed: 9,
         };
         let id_maps: Vec<VecBuf<u32>> = vec![vec![0u32, 2].into(), vec![1u32, 3, 4].into()];
-        let bytes = encode_shard_map(&meta, &id_maps);
+        let mut bytes = Vec::new();
+        shard_map_writer(&meta, &id_maps).write_to(&mut bytes).unwrap();
         let (meta2, maps2) = decode_shard_map(SnapshotSource::Bytes(&bytes)).unwrap();
         assert_eq!(meta2, meta);
         assert_eq!(maps2, id_maps);

@@ -9,9 +9,16 @@
 use p2h_balltree::{BallTree, BallTreeBuilder, BcTree, BcTreeBuilder};
 use p2h_core::{LinearScan, PointSet, Scalar};
 use p2h_data::{DataDistribution, SyntheticDataset};
+use p2h_store::format::SnapshotWriter;
 use p2h_store::format::HEADER_LEN;
-use p2h_store::format::{wire, SnapshotWriter};
 use p2h_store::{crc32, IndexKind, Snapshot, StoreError, SECTION_ALIGN};
+
+/// The bytes of a hand-built snapshot.
+fn to_bytes(writer: &SnapshotWriter<'_>) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    writer.write_to(&mut bytes).unwrap();
+    bytes
+}
 
 fn dataset(n: usize, dim: usize) -> PointSet {
     SyntheticDataset::new(
@@ -132,27 +139,27 @@ fn dim_count_overflow_is_typed_not_an_allocation() {
     // loader must fail with a typed overflow/truncation error before reserving memory.
     let mut writer = SnapshotWriter::new(IndexKind::LinearScan);
     let meta = writer.section(*b"META");
-    wire::put_u64(meta, u64::MAX / 2); // dim
-    wire::put_u64(meta, u64::MAX / 2); // count
-    wire::put_u64(meta, 0); // node count
-    wire::put_u64(meta, 0); // leaf size
-    wire::put_u64(meta, 0); // seed
-    wire::put_u32(meta, 0); // note length
-    wire::put_f32_slice(writer.section(*b"PNTS"), &[0.0; 16]);
-    let bytes = writer.finish();
+    meta.put_u64(u64::MAX / 2); // dim
+    meta.put_u64(u64::MAX / 2); // count
+    meta.put_u64(0); // node count
+    meta.put_u64(0); // leaf size
+    meta.put_u64(0); // seed
+    meta.put_u32(0); // note length
+    writer.section(*b"PNTS").records(&[0.0; 16]);
+    let bytes = to_bytes(&writer);
     assert!(matches!(LinearScan::decode_snapshot(&bytes), Err(StoreError::Overflow { .. })));
 
     // dim × count fits, but the PNTS payload cannot hold it: truncated, not a panic.
     let mut writer = SnapshotWriter::new(IndexKind::LinearScan);
     let meta = writer.section(*b"META");
-    wire::put_u64(meta, 1_000); // dim
-    wire::put_u64(meta, 1 << 40); // count
-    wire::put_u64(meta, 0);
-    wire::put_u64(meta, 0);
-    wire::put_u64(meta, 0);
-    wire::put_u32(meta, 0);
-    wire::put_f32_slice(writer.section(*b"PNTS"), &[0.0; 16]);
-    let bytes = writer.finish();
+    meta.put_u64(1_000); // dim
+    meta.put_u64(1 << 40); // count
+    meta.put_u64(0);
+    meta.put_u64(0);
+    meta.put_u64(0);
+    meta.put_u32(0);
+    writer.section(*b"PNTS").records(&[0.0; 16]);
+    let bytes = to_bytes(&writer);
     assert!(matches!(
         LinearScan::decode_snapshot(&bytes),
         Err(StoreError::Truncated { .. }) | Err(StoreError::Overflow { .. })

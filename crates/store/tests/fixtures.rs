@@ -3,10 +3,15 @@
 //! points, 17 augmented dimensions) as a v2 and as a v1 snapshot, and a WAL segment with
 //! an insert batch and a delete. It also holds a v2 Ball-Tree snapshot (40 points, 17
 //! augmented dimensions, `N0` 8) written by commit `c23f8a1`, the last one with a
-//! Ball-Tree builder of its own (centroid centers, unsorted leaves). Whichever arm of
-//! `p2h_core::kernels::crc32` runs must accept every checksum in them, write the same
-//! bytes back, and refuse a flipped bit with the same typed error — under both loaders —
-//! and the Ball-Tree must still answer exactly like a linear scan.
+//! Ball-Tree builder of its own (centroid centers, unsorted leaves), and a larger v2
+//! BC-Tree (1 501 points, 33 augmented dimensions, `N0` 32) written by commit `77bbbd3`,
+//! the last one that encoded a snapshot into one buffer before writing it: its `PNTS`
+//! (198 132 bytes) is three 64 KiB write chunks plus a tail that is not a whole number of
+//! 16-byte CRC lanes, so re-encoding it byte for byte checks the streaming writer's
+//! checksum of a multi-chunk section. Whichever arm of `p2h_core::kernels::crc32` runs must accept
+//! every checksum in them, write the same bytes back, and refuse a flipped bit with the
+//! same typed error — under both loaders — and the Ball-Tree must still answer exactly
+//! like a linear scan.
 //!
 //! One `#[test]`: `force_scalar` is process-global.
 
@@ -28,6 +33,7 @@ use p2h_store::{
 
 const SNAPSHOT_V1: &[u8] = include_bytes!("fixtures/bctree_v1.p2hs");
 const SNAPSHOT_V2: &[u8] = include_bytes!("fixtures/bctree_v2.p2hs");
+const SNAPSHOT_V2_LARGE: &[u8] = include_bytes!("fixtures/bctree_v2_large.p2hs");
 const BALLTREE_V2: &[u8] = include_bytes!("fixtures/balltree_v2.p2hs");
 const WAL_SEGMENT: &[u8] = include_bytes!("fixtures/segment.wal");
 
@@ -139,6 +145,13 @@ fn snapshots_load_reencode_and_refuse_a_flipped_bit() {
     ) {
         assert_eq!((tree.len(), tree.dim()), (40, 17));
     }
+    for tree in load_reencode_and_refuse_flips::<BcTree>(
+        &["bctree_v2_large.p2hs"],
+        SNAPSHOT_V2_LARGE,
+        [*b"PNTS", *b"CNTR", *b"AUXD"],
+    ) {
+        assert_eq!((tree.len(), tree.dim()), (1_501, 33));
+    }
     for tree in load_reencode_and_refuse_flips::<BallTree>(
         &["balltree_v2.p2hs"],
         BALLTREE_V2,
@@ -151,9 +164,11 @@ fn snapshots_load_reencode_and_refuse_a_flipped_bit() {
     // The v1 container of the same sections: the writer's checksums, byte for byte.
     let mut v1 = SnapshotWriter::with_version(IndexKind::BcTree, FORMAT_VERSION_V1);
     for (tag, start, len) in v2_sections(SNAPSHOT_V2) {
-        v1.section(tag).extend_from_slice(&SNAPSHOT_V2[start..start + len]);
+        v1.section(tag).put_bytes(&SNAPSHOT_V2[start..start + len]);
     }
-    assert_eq!(v1.finish(), SNAPSHOT_V1);
+    let mut written = Vec::new();
+    v1.write_to(&mut written).unwrap();
+    assert_eq!(written, SNAPSHOT_V1);
 }
 
 fn wal_replays_reencodes_and_refuses_a_flipped_bit(dir: &Path) {

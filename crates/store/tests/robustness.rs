@@ -1,5 +1,6 @@
 //! Robustness tests for the storage layer: EINTR-retry loops around the raw syscall
-//! paths, the configurable stale-file sweep grace window, and the future-mtime skip.
+//! paths, a persistent write failure, the configurable stale-file sweep grace window,
+//! and the future-mtime skip.
 //!
 //! The fault rules installed here are process-global (`p2h_obs::fault`), so every
 //! test in this binary serializes on one mutex — cargo runs test *binaries*
@@ -11,10 +12,11 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, SystemTime};
 
 use common::TestDir;
-use p2h_core::{LinearScan, PointSet};
-use p2h_data::{DataDistribution, SyntheticDataset};
+use p2h_balltree::{BcTree, BcTreeBuilder};
+use p2h_core::{HyperplaneQuery, LinearScan, Neighbor, P2hIndex, PointSet, VecBuf};
+use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
 use p2h_obs::fault;
-use p2h_store::{LoadMode, Store, StoreError};
+use p2h_store::{LoadMode, LoadedIndex, ShardGroupMeta, Store, StoreError};
 
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
@@ -26,6 +28,83 @@ fn dataset(n: usize, seed: u64) -> PointSet {
     SyntheticDataset::new("store-robustness", n, 6, DataDistribution::Uniform { scale: 2.0 }, seed)
         .generate()
         .unwrap()
+}
+
+/// Points whose snapshot spans several of the writer's 64 KiB chunks.
+fn wide_dataset(n: usize, seed: u64) -> PointSet {
+    SyntheticDataset::new(
+        "store-robustness-wide",
+        n,
+        32,
+        DataDistribution::GaussianClusters { clusters: 6, std_dev: 1.5 },
+        seed,
+    )
+    .generate()
+    .unwrap()
+}
+
+/// `ps` as a two-shard group: the first half and the rest, each a BC-Tree.
+fn two_shards(ps: &PointSet) -> (ShardGroupMeta, Vec<VecBuf<u32>>, Vec<LoadedIndex>) {
+    let split = ps.len() / 2;
+    let mut id_maps = Vec::new();
+    let mut shards = Vec::new();
+    for range in [0..split, split..ps.len()] {
+        let rows = ps.flat_range(range.start, range.end).to_vec();
+        let part = PointSet::from_flat(ps.dim(), rows).unwrap();
+        shards.push(LoadedIndex::BcTree(BcTreeBuilder::new(32).build(&part).unwrap()));
+        id_maps.push(range.map(|id| id as u32).collect::<Vec<_>>().into());
+    }
+    let meta = ShardGroupMeta {
+        partitioner_tag: 0,
+        requested_shards: 2,
+        total_count: ps.len(),
+        dim: ps.dim(),
+        build_seed: 0,
+    };
+    (meta, id_maps, shards)
+}
+
+/// The exact top-`k` of a shard group: each shard's answer in global ids, merged under
+/// the (distance, id) order every exact answer follows.
+fn group_search(
+    shards: &[LoadedIndex],
+    id_maps: &[VecBuf<u32>],
+    query: &HyperplaneQuery,
+    k: usize,
+) -> Vec<Neighbor> {
+    let mut merged: Vec<Neighbor> = shards
+        .iter()
+        .zip(id_maps)
+        .flat_map(|(shard, ids)| {
+            shard
+                .as_index()
+                .search_exact(query, k)
+                .neighbors
+                .into_iter()
+                .map(|n| Neighbor { index: ids[n.index] as usize, distance: n.distance })
+        })
+        .collect();
+    merged.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.index.cmp(&b.index)));
+    merged.truncate(k);
+    merged
+}
+
+/// Checks `search` against `scan` on a few queries and depths: the same ids and the same
+/// distance bits.
+fn answers_like(scan: &LinearScan, search: impl Fn(&HyperplaneQuery, usize) -> Vec<Neighbor>) {
+    let bits = |neighbors: Vec<Neighbor>| -> Vec<(usize, u32)> {
+        neighbors.iter().map(|n| (n.index, n.distance.to_bits())).collect()
+    };
+    let queries = generate_queries(scan.points(), 6, QueryDistribution::DataDifference, 3).unwrap();
+    for query in &queries {
+        for k in [1, 10] {
+            assert_eq!(
+                bits(search(query, k)),
+                bits(scan.search_exact(query, k).neighbors),
+                "k={k}"
+            );
+        }
+    }
 }
 
 fn eintr_retries() -> u64 {
@@ -98,23 +177,83 @@ fn persistent_eintr_is_a_typed_error() {
     let _: LinearScan = Store::open(&dir).unwrap().load("scan").unwrap();
 }
 
-/// Satellite 1, write side: EINTR during the atomic save path (tmp write + rename)
-/// is absorbed the same way.
+/// Satellite 1, write side: EINTR during the staged save path (tmp write + rename)
+/// is absorbed the same way — an interrupted attempt restarts the whole streamed
+/// write from a truncated `.tmp`. The snapshots span many write chunks (a BC-Tree
+/// and a two-shard group), and every save loads under both loaders to answers
+/// identical to a linear scan's.
 #[test]
 fn transient_eintr_never_aborts_a_save() {
     let _guard = serialize();
-    let ps = dataset(150, 13);
+    let ps = wide_dataset(3_000, 13);
+    let scan = LinearScan::new(ps.clone());
+    let tree = BcTreeBuilder::new(32).build(&ps).unwrap();
+    let (meta, id_maps, shards) = two_shards(&ps);
     let dir = TestDir::new("eintr-save");
     let store = Store::create(&dir).unwrap();
 
+    let retries_before = eintr_retries();
     fault::set_spec("store.write:eintr:0.5:99").unwrap();
     for epoch in 0..6 {
-        store.save("scan", &LinearScan::new(ps.clone())).unwrap_or_else(|e| {
-            panic!("save under transient EINTR failed at epoch {epoch}: {e:?}")
-        });
+        let saved = store
+            .save("scan", &LinearScan::new(ps.clone()))
+            .and_then(|_| store.save("tree", &tree))
+            .and_then(|_| store.save_shard_group("group", &meta, &id_maps, &shards));
+        if let Err(e) = saved {
+            panic!("save under transient EINTR failed at epoch {epoch}: {e:?}");
+        }
     }
     fault::set_rules(Vec::new());
+    assert!(eintr_retries() > retries_before, "the 50% EINTR rule must have fired");
     let _: LinearScan = store.load("scan").unwrap();
+    for mode in [LoadMode::Copy, LoadMode::Mmap] {
+        let store = Store::open_with(&dir, mode).unwrap();
+        answers_like(&scan, |q, k| {
+            store.load::<BcTree>("tree").unwrap().search_exact(q, k).neighbors
+        });
+        let group = store.load_shard_group("group").unwrap();
+        answers_like(&scan, |q, k| group_search(&group.shards, &group.id_maps, q, k));
+    }
+}
+
+/// A persistent `store.write` failure fails the save with a typed error and leaves the
+/// previous snapshots and manifest loadable, with nothing under the new files' names.
+#[test]
+fn persistent_write_error_keeps_the_previous_save() {
+    let _guard = serialize();
+    let ps = wide_dataset(1_200, 16);
+    let scan = LinearScan::new(ps.clone());
+    let tree = BcTreeBuilder::new(32).build(&ps).unwrap();
+    let (meta, id_maps, shards) = two_shards(&ps);
+    let dir = TestDir::new("write-error");
+    let store = Store::create(&dir).unwrap();
+    store.save("tree", &tree).unwrap();
+    store.save_shard_group("group", &meta, &id_maps, &shards).unwrap();
+    let manifest = std::fs::read(dir.join("MANIFEST")).unwrap();
+
+    fault::set_spec("store.write:truncate:1:3").unwrap();
+    let tree_err = store.save("tree", &tree).unwrap_err();
+    let group_err = store.save_shard_group("group", &meta, &id_maps, &shards).unwrap_err();
+    fault::set_rules(Vec::new());
+    for err in [tree_err, group_err] {
+        assert!(
+            matches!(&err, StoreError::Io { message, .. } if message.contains("injected")),
+            "expected the injected fault as a typed Io error, got {err:?}"
+        );
+    }
+    // The replacements would have been epoch 1 of the tree and epoch 2 of the group.
+    for file in ["tree.e1.p2hs", "group.g2.map.p2hs", "group.g2.s0.p2hs", "group.g2.s1.p2hs"] {
+        assert!(!dir.join(file).exists(), "{file} must not exist after a failed save");
+    }
+    assert_eq!(std::fs::read(dir.join("MANIFEST")).unwrap(), manifest);
+    for mode in [LoadMode::Copy, LoadMode::Mmap] {
+        let store = Store::open_with(&dir, mode).unwrap();
+        answers_like(&scan, |q, k| {
+            store.load::<BcTree>("tree").unwrap().search_exact(q, k).neighbors
+        });
+        let group = store.load_shard_group("group").unwrap();
+        answers_like(&scan, |q, k| group_search(&group.shards, &group.id_maps, q, k));
+    }
 }
 
 /// Satellite 3: the grace window is a per-handle knob — zero grace sweeps a fresh

@@ -12,8 +12,15 @@ use p2h_balltree::{BallTree, BallTreeBuilder, BcTree, BcTreeBuilder};
 use p2h_core::{HyperplaneQuery, LinearScan, P2hIndex, PointSet, SearchParams};
 use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
 use p2h_hash::{FhIndex, FhParams, NhIndex, NhParams};
-use p2h_store::format::{wire, SnapshotSource, SnapshotWriter, HEADER_LEN, SECTION_HEADER_LEN};
+use p2h_store::format::{SnapshotSource, SnapshotWriter, HEADER_LEN, SECTION_HEADER_LEN};
 use p2h_store::{IndexKind, LoadMode, MmapRegion, Snapshot, Store, StoreError, FORMAT_VERSION_V1};
+
+/// The bytes of a hand-built snapshot.
+fn to_bytes(writer: &SnapshotWriter<'_>) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    writer.write_to(&mut bytes).unwrap();
+    bytes
+}
 
 fn dataset(n: usize, dim: usize, seed: u64) -> PointSet {
     SyntheticDataset::new(
@@ -175,14 +182,14 @@ fn nonzero_padding_is_a_typed_misalignment_error() {
 fn encode_v1_linear_scan(points: &PointSet) -> Vec<u8> {
     let mut writer = SnapshotWriter::with_version(IndexKind::LinearScan, FORMAT_VERSION_V1);
     let meta = writer.section(*b"META");
-    wire::put_u64(meta, points.dim() as u64);
-    wire::put_u64(meta, points.len() as u64);
-    wire::put_u64(meta, 0);
-    wire::put_u64(meta, 0);
-    wire::put_u64(meta, 0);
-    wire::put_u32(meta, 0); // empty note
-    wire::put_f32_slice(writer.section(*b"PNTS"), points.as_flat());
-    writer.finish()
+    meta.put_u64(points.dim() as u64);
+    meta.put_u64(points.len() as u64);
+    meta.put_u64(0);
+    meta.put_u64(0);
+    meta.put_u64(0);
+    meta.put_u32(0); // empty note
+    writer.section(*b"PNTS").records(points.as_flat());
+    to_bytes(&writer)
 }
 
 /// Hand-writes a v1 NH snapshot with the legacy *interleaved* `(value, id)` PROJ
@@ -191,40 +198,40 @@ fn encode_v1_nh(nh: &NhIndex) -> Vec<u8> {
     let points = nh.points();
     let mut writer = SnapshotWriter::with_version(IndexKind::Nh, FORMAT_VERSION_V1);
     let meta = writer.section(*b"META");
-    wire::put_u64(meta, points.dim() as u64);
-    wire::put_u64(meta, points.len() as u64);
-    wire::put_u64(meta, 0);
-    wire::put_u64(meta, 0);
-    wire::put_u64(meta, nh.params().seed);
-    wire::put_u32(meta, 0);
+    meta.put_u64(points.dim() as u64);
+    meta.put_u64(points.len() as u64);
+    meta.put_u64(0);
+    meta.put_u64(0);
+    meta.put_u64(nh.params().seed);
+    meta.put_u32(0);
     let params = writer.section(*b"NHPR");
-    wire::put_u64(params, nh.params().lambda_factor as u64);
-    wire::put_u64(params, nh.params().tables as u64);
-    wire::put_u64(params, nh.params().collision_threshold as u64);
-    wire::put_u64(params, nh.params().seed);
-    wire::put_f32(params, nh.alignment_constant());
-    wire::put_f32_slice(writer.section(*b"PNTS"), points.as_flat());
+    params.put_u64(nh.params().lambda_factor as u64);
+    params.put_u64(nh.params().tables as u64);
+    params.put_u64(nh.params().collision_threshold as u64);
+    params.put_u64(nh.params().seed);
+    params.put_f32(nh.alignment_constant());
+    writer.section(*b"PNTS").records(points.as_flat());
     let transform = writer.section(*b"TPRS");
-    wire::put_u64(transform, nh.transform().input_dim() as u64);
-    wire::put_f32(transform, nh.transform().scale());
-    wire::put_u64(transform, nh.transform().pairs().len() as u64);
+    transform.put_u64(nh.transform().input_dim() as u64);
+    transform.put_f32(nh.transform().scale());
+    transform.put_u64(nh.transform().pairs().len() as u64);
     for &(i, j) in nh.transform().pairs() {
-        wire::put_u32(transform, i);
-        wire::put_u32(transform, j);
+        transform.put_u32(i);
+        transform.put_u32(j);
     }
     let tables = nh.tables();
     let proj = writer.section(*b"PROJ");
-    wire::put_u64(proj, tables.dim() as u64);
-    wire::put_u64(proj, tables.table_count() as u64);
-    wire::put_u64(proj, tables.len() as u64);
-    wire::put_f32_slice(proj, tables.directions());
+    proj.put_u64(tables.dim() as u64);
+    proj.put_u64(tables.table_count() as u64);
+    proj.put_u64(tables.len() as u64);
+    proj.records(tables.directions());
     for t in 0..tables.table_count() {
         for (value, id) in tables.table_values(t).iter().zip(tables.table_ids(t)) {
-            wire::put_f32(proj, *value);
-            wire::put_u32(proj, *id);
+            proj.put_f32(*value);
+            proj.put_u32(*id);
         }
     }
-    writer.finish()
+    to_bytes(&writer)
 }
 
 #[test]
