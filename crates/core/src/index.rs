@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{HyperplaneQuery, Neighbor, QueryScratch, Scalar};
+use crate::{HyperplaneQuery, Neighbor, QueryScratch, Scalar, GROUP_WIDTH};
 
 /// Which child of an internal tree node is descended first during branch-and-bound.
 ///
@@ -76,6 +76,31 @@ impl SearchParams {
         let alone = |p: &SearchParams| p.candidate_limit.is_some() || p.collect_timing;
         !alone(self) && !alone(other) && self.branch_preference == other.branch_preference
     }
+}
+
+/// The maximal run, at most [`GROUP_WIDTH`] long, of leading `params` that may share one
+/// traversal with the first ([`SearchParams::shares_traversal_with`]): the members'
+/// parameters, in order, and the run's width. The run also ends where `params` ends, so
+/// a caller bounds it by its span, or stops it before a query that cannot run at all.
+///
+/// # Panics
+///
+/// If `params` is empty.
+pub fn traversal_run<'a>(
+    params: impl IntoIterator<Item = &'a SearchParams>,
+) -> ([&'a SearchParams; GROUP_WIDTH], usize) {
+    let mut params = params.into_iter();
+    let first = params.next().expect("a run starts at a query");
+    let mut members = [first; GROUP_WIDTH];
+    let mut width = 1;
+    for next in params.take(GROUP_WIDTH - 1) {
+        if !first.shares_traversal_with(next) {
+            break;
+        }
+        members[width] = next;
+        width += 1;
+    }
+    (members, width)
 }
 
 impl Default for SearchParams {
@@ -397,6 +422,20 @@ mod tests {
         assert!(lower.shares_traversal_with(&lower));
         let budgeted = SearchParams::approximate(10, 500);
         assert!(!budgeted.shares_traversal_with(&budgeted), "not even with itself");
+    }
+
+    #[test]
+    fn a_traversal_run_stops_at_a_non_sharing_query_the_end_or_the_width() {
+        let exact = SearchParams::exact(3);
+        let budgeted = SearchParams::approximate(3, 50);
+        let width = |params: &[SearchParams]| traversal_run(params).1;
+        assert_eq!(width(&[exact.clone(), exact.clone(), budgeted.clone(), exact.clone()]), 2);
+        assert_eq!(width(&[budgeted.clone(), budgeted.clone()]), 1);
+        assert_eq!(width(&[exact.clone(), exact.clone()]), 2);
+        let many = vec![exact; GROUP_WIDTH + 3];
+        let (members, run) = traversal_run(&many);
+        assert_eq!(run, GROUP_WIDTH);
+        assert!(members.iter().zip(&many).all(|(m, p)| std::ptr::eq(*m, p)));
     }
 
     #[test]

@@ -70,7 +70,9 @@ mod topk;
 
 pub use buf::{BufBacking, BufElem, VecBuf};
 pub use error::{Error, Result};
-pub use index::{is_excluded, BranchPreference, P2hIndex, SearchParams, SearchResult, SearchStats};
+pub use index::{
+    is_excluded, traversal_run, BranchPreference, P2hIndex, SearchParams, SearchResult, SearchStats,
+};
 pub use kernels::KernelBackend;
 pub use linear_scan::LinearScan;
 pub use point_set::PointSet;

@@ -4,7 +4,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use p2h_core::{P2hIndex, QueryScratch, SearchResult, SearchStats, GROUP_WIDTH};
+use p2h_core::{traversal_run, P2hIndex, QueryScratch, SearchResult, SearchStats, GROUP_WIDTH};
 
 use crate::batch::{BatchRequest, BatchResponse, LatencyHistogram};
 
@@ -161,21 +161,10 @@ fn serve_span(
 ) {
     let mut i = span.start;
     while i < span.end {
-        let first = request.params_for(i);
-        let mut params = [first; GROUP_WIDTH];
-        let mut width = 1;
-        while width < GROUP_WIDTH && i + width < span.end {
-            let next = request.params_for(i + width);
-            if !first.shares_traversal_with(next) {
-                break;
-            }
-            params[width] = next;
-            width += 1;
-        }
-
+        let (params, width) = traversal_run((i..span.end).map(|j| request.params_for(j)));
         if width == 1 {
             let query_start = Instant::now();
-            let result = index.search_with_scratch(&request.queries[i], first, scratch);
+            let result = index.search_with_scratch(&request.queries[i], params[0], scratch);
             served.push((i, result, query_start.elapsed().as_nanos() as u64));
         } else {
             let queries = &request.queries[i..i + width];

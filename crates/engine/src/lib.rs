@@ -62,7 +62,7 @@ pub use batch::{BatchRequest, BatchResponse, LatencyHistogram};
 pub use executor::BatchExecutor;
 pub use registry::{IndexRegistry, SharedIndex};
 pub use remote::RemoteBatchResponse;
-pub use serve::{Engine, FrontPath};
+pub use serve::Engine;
 pub use sharded::{ShardedBatchResponse, ShardedExecutor};
 
 // Re-exported so engine users can build indexes without naming the tree crate.

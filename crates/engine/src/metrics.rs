@@ -12,10 +12,10 @@
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
-use p2h_core::SearchStats;
+use p2h_core::{SearchResult, SearchStats};
 use p2h_obs::{global, Counter, Histogram, StreamingHistogram};
 
-use crate::batch::BatchResponse;
+use crate::batch::{BatchResponse, LatencyHistogram};
 use crate::sharded::ShardedBatchResponse;
 
 /// `SearchStats::to_metrics()` names, paired with the Prometheus family each one
@@ -120,20 +120,26 @@ impl IndexInstruments {
         }
     }
 
-    /// Publishes one batch response: aggregate counters plus per-query distributions
+    /// Publishes one batch: aggregate counters plus per-query distributions
     /// accumulated locally and merged in a single pass each.
-    fn record_batch(&self, response: &BatchResponse, wall_time_ns: u64) {
-        let n = response.results.len();
+    fn record_batch(
+        &self,
+        results: &[SearchResult],
+        latency: &LatencyHistogram,
+        total_stats: &SearchStats,
+        wall_time_ns: u64,
+    ) {
+        let n = results.len();
         self.queries.add(n as u64);
         self.batches.inc();
         self.batch_wall_ns.add(wall_time_ns);
         self.batch_size.record(n as u64);
-        self.latency.merge_from(response.latency.histogram());
+        self.latency.merge_from(latency.histogram());
 
         let mut candidates = StreamingHistogram::new();
         let mut nodes = StreamingHistogram::new();
         let mut pruned = StreamingHistogram::new();
-        for result in &response.results {
+        for result in results {
             candidates.record(result.stats.candidates_verified);
             nodes.record(result.stats.nodes_visited);
             pruned.record(result.stats.pruned_subtrees);
@@ -142,11 +148,7 @@ impl IndexInstruments {
         self.nodes_visited.merge_from(&nodes);
         self.pruned_subtrees.merge_from(&pruned);
 
-        self.record_stat_counters(&response.total_stats);
-    }
-
-    fn record_stat_counters(&self, total: &SearchStats) {
-        for ((name, value), counter) in total.to_metrics().iter().zip(&self.stat_counters) {
+        for ((name, value), counter) in total_stats.to_metrics().iter().zip(&self.stat_counters) {
             debug_assert!(
                 SEARCH_COUNTER_FAMILIES.iter().any(|&(n, ..)| n == *name),
                 "SearchStats::to_metrics() field `{name}` has no metric family"
@@ -158,26 +160,12 @@ impl IndexInstruments {
     /// Publishes one sharded response: everything `record_batch` publishes, plus the
     /// per-shard latency distributions and work counters.
     fn record_sharded(&self, index: &str, response: &ShardedBatchResponse) {
-        let n = response.results.len();
-        self.queries.add(n as u64);
-        self.batches.inc();
-        self.batch_wall_ns.add(response.wall_time_ns);
-        self.batch_size.record(n as u64);
-        self.latency.merge_from(response.latency.histogram());
-
-        let mut candidates = StreamingHistogram::new();
-        let mut nodes = StreamingHistogram::new();
-        let mut pruned = StreamingHistogram::new();
-        for result in &response.results {
-            candidates.record(result.stats.candidates_verified);
-            nodes.record(result.stats.nodes_visited);
-            pruned.record(result.stats.pruned_subtrees);
-        }
-        self.candidates_verified.merge_from(&candidates);
-        self.nodes_visited.merge_from(&nodes);
-        self.pruned_subtrees.merge_from(&pruned);
-        self.record_stat_counters(&response.total_stats);
-
+        self.record_batch(
+            &response.results,
+            &response.latency,
+            &response.total_stats,
+            response.wall_time_ns,
+        );
         self.ensure_shards(index, response.per_shard_latency.len());
         let shards = self.shards.read().expect("shard instruments poisoned");
         for (shard, (latency, stats)) in
@@ -188,26 +176,6 @@ impl IndexInstruments {
             instruments.sub_searches.add(latency.count() as u64);
             instruments.candidates_verified.add(stats.candidates_verified);
         }
-    }
-
-    /// The observed per-shard sub-search latency quantile `q`, one entry per shard,
-    /// or `None` until every shard has at least `min_samples` recorded sub-searches
-    /// (a half-warm distribution would bias routing toward whichever shards happened
-    /// to serve first).
-    fn shard_latency_quantiles(&self, q: f64, min_samples: u64) -> Option<Vec<u64>> {
-        let shards = self.shards.read().expect("shard instruments poisoned");
-        if shards.is_empty() {
-            return None;
-        }
-        let mut quantiles = Vec::with_capacity(shards.len());
-        for shard in shards.iter() {
-            let snapshot = shard.latency.snapshot();
-            if snapshot.count() < min_samples {
-                return None;
-            }
-            quantiles.push(snapshot.quantile(q));
-        }
-        Some(quantiles)
     }
 
     fn ensure_shards(&self, index: &str, count: usize) {
@@ -272,23 +240,17 @@ impl EngineMetrics {
 
     /// Records a batch served through the query-parallel path.
     pub(crate) fn record_batch(&self, index: &str, response: &BatchResponse) {
-        self.instruments(index).record_batch(response, response.wall_time_ns);
+        self.instruments(index).record_batch(
+            &response.results,
+            &response.latency,
+            &response.total_stats,
+            response.wall_time_ns,
+        );
     }
 
     /// Records a batch served through the sharded fan-out path.
     pub(crate) fn record_sharded(&self, index: &str, response: &ShardedBatchResponse) {
         self.instruments(index).record_sharded(index, response);
-    }
-
-    /// Observed `p2h_shard_latency_ns` p99 per shard of `index`, or `None` before the
-    /// sharded path has served this name with at least `min_samples` sub-searches on
-    /// every shard. Feeds the front-end dispatch heuristic; reading is a snapshot of
-    /// the cached histogram handles, no registry lock.
-    pub(crate) fn shard_latency_p99s(&self, index: &str, min_samples: u64) -> Option<Vec<u64>> {
-        let cache = self.per_index.read().expect("engine metrics poisoned");
-        let instruments = Arc::clone(cache.get(index)?);
-        drop(cache);
-        instruments.shard_latency_quantiles(0.99, min_samples)
     }
 }
 

@@ -21,23 +21,35 @@ pub type SharedIndex = Arc<dyn P2hIndex>;
 /// returns the shared handle, so callers can keep searching an index they registered
 /// without going through the registry again. Lookups clone the `Arc`, never the index.
 ///
-/// Sharded indexes registered through [`IndexRegistry::register_sharded`] are
-/// additionally retrievable as their concrete type via
-/// [`IndexRegistry::get_sharded`], which is what `Engine::serve_sharded` uses to
-/// expose per-shard latency statistics; through [`IndexRegistry::get`] they serve
-/// like any other index.
-/// Live (mutable) indexes registered through [`IndexRegistry::register_live`] live in
-/// their own map — [`LiveIndex`] is not a [`P2hIndex`] (its searches return `Result`
-/// so serving paths can surface dimension errors instead of panicking) — but share
-/// the name space: a name holds a plain, sharded, *or* live index, never several.
+/// A name holds one entry: a plain index, a sharded one (also retrievable as its
+/// concrete type via [`IndexRegistry::get_sharded`], which is what
+/// `Engine::serve_sharded` uses to expose per-shard latency statistics; through
+/// [`IndexRegistry::get`] it serves like any other index), or a live (mutable) one,
+/// reachable only through [`IndexRegistry::get_live`] — [`LiveIndex`] is not a
+/// [`P2hIndex`] (its searches return `Result` so serving paths can surface dimension
+/// errors instead of panicking).
 #[derive(Default)]
 pub struct IndexRegistry {
-    inner: RwLock<HashMap<String, SharedIndex>>,
-    /// Concrete handles for sharded indexes, kept alongside the trait-object map so
-    /// shard-aware serving paths can reach shard-level APIs without downcasting.
-    sharded: RwLock<HashMap<String, Arc<ShardedIndex>>>,
-    /// Mutable live-tier indexes (`Engine::serve_live`, inserts/deletes/compaction).
-    live: RwLock<HashMap<String, Arc<LiveIndex>>>,
+    entries: RwLock<HashMap<String, Entry>>,
+}
+
+/// What a registered name holds.
+#[derive(Clone)]
+pub(crate) enum Entry {
+    Plain(SharedIndex),
+    Sharded(Arc<ShardedIndex>),
+    Live(Arc<LiveIndex>),
+}
+
+impl Entry {
+    /// The entry as a trait object; `None` for a live index.
+    fn shared(self) -> Option<SharedIndex> {
+        match self {
+            Entry::Plain(index) => Some(index),
+            Entry::Sharded(index) => Some(index),
+            Entry::Live(_) => None,
+        }
+    }
 }
 
 impl IndexRegistry {
@@ -54,15 +66,7 @@ impl IndexRegistry {
 
     /// Registers an already-shared index under `name`, replacing any previous entry.
     pub fn register_shared(&self, name: impl Into<String>, index: SharedIndex) -> SharedIndex {
-        let name = name.into();
-        // A plain registration under a name that held a sharded or live index drops
-        // those handles too — the maps must never disagree about a name.
-        let mut sharded = self.sharded.write().expect("index registry lock poisoned");
-        sharded.remove(&name);
-        let mut live = self.live.write().expect("index registry lock poisoned");
-        live.remove(&name);
-        let mut map = self.inner.write().expect("index registry lock poisoned");
-        map.insert(name, Arc::clone(&index));
+        self.insert(name.into(), Entry::Plain(Arc::clone(&index)));
         index
     }
 
@@ -75,14 +79,8 @@ impl IndexRegistry {
         name: impl Into<String>,
         index: ShardedIndex,
     ) -> Arc<ShardedIndex> {
-        let name = name.into();
         let handle = Arc::new(index);
-        let mut sharded = self.sharded.write().expect("index registry lock poisoned");
-        let mut live = self.live.write().expect("index registry lock poisoned");
-        let mut map = self.inner.write().expect("index registry lock poisoned");
-        live.remove(&name);
-        sharded.insert(name.clone(), Arc::clone(&handle));
-        map.insert(name, Arc::clone(&handle) as SharedIndex);
+        self.insert(name.into(), Entry::Sharded(Arc::clone(&handle)));
         handle
     }
 
@@ -92,23 +90,13 @@ impl IndexRegistry {
     /// do not answer the trait-object [`IndexRegistry::get`] lookup because
     /// [`LiveIndex`] searches return `Result` rather than implementing [`P2hIndex`].
     pub fn register_live(&self, name: impl Into<String>, index: LiveIndex) -> Arc<LiveIndex> {
-        self.register_live_shared(name, Arc::new(index))
+        let handle = Arc::new(index);
+        self.insert(name.into(), Entry::Live(Arc::clone(&handle)));
+        handle
     }
 
-    /// [`IndexRegistry::register_live`] for an already-shared handle.
-    pub fn register_live_shared(
-        &self,
-        name: impl Into<String>,
-        index: Arc<LiveIndex>,
-    ) -> Arc<LiveIndex> {
-        let name = name.into();
-        let mut sharded = self.sharded.write().expect("index registry lock poisoned");
-        let mut live = self.live.write().expect("index registry lock poisoned");
-        let mut map = self.inner.write().expect("index registry lock poisoned");
-        sharded.remove(&name);
-        map.remove(&name);
-        live.insert(name, Arc::clone(&index));
-        index
+    fn insert(&self, name: String, entry: Entry) {
+        self.entries.write().expect("index registry lock poisoned").insert(name, entry);
     }
 
     /// Opens a `p2h-store` snapshot directory and registers every manifest entry under
@@ -178,24 +166,33 @@ impl IndexRegistry {
         Ok(registry)
     }
 
-    /// Looks an index up by name.
+    /// What `name` holds, if anything.
+    pub(crate) fn entry(&self, name: &str) -> Option<Entry> {
+        self.entries.read().expect("index registry lock poisoned").get(name).cloned()
+    }
+
+    /// Looks an index up by name. `None` when the name is unregistered or holds a
+    /// live index.
     pub fn get(&self, name: &str) -> Option<SharedIndex> {
-        let map = self.inner.read().expect("index registry lock poisoned");
-        map.get(name).cloned()
+        self.entry(name)?.shared()
     }
 
     /// Looks a sharded index up by name as its concrete type. `None` when the name is
     /// unregistered or holds a non-sharded index.
     pub fn get_sharded(&self, name: &str) -> Option<Arc<ShardedIndex>> {
-        let map = self.sharded.read().expect("index registry lock poisoned");
-        map.get(name).cloned()
+        match self.entry(name)? {
+            Entry::Sharded(index) => Some(index),
+            _ => None,
+        }
     }
 
     /// Looks a live index up by name. `None` when the name is unregistered or holds
     /// an immutable index.
     pub fn get_live(&self, name: &str) -> Option<Arc<LiveIndex>> {
-        let map = self.live.read().expect("index registry lock poisoned");
-        map.get(name).cloned()
+        match self.entry(name)? {
+            Entry::Live(index) => Some(index),
+            _ => None,
+        }
     }
 
     /// Removes an index of any kind, returning its trait-object handle if the name
@@ -203,28 +200,20 @@ impl IndexRegistry {
     /// In-flight searches holding an `Arc` are unaffected; the index is freed when
     /// the last handle drops.
     pub fn remove(&self, name: &str) -> Option<SharedIndex> {
-        let mut sharded = self.sharded.write().expect("index registry lock poisoned");
-        sharded.remove(name);
-        let mut live = self.live.write().expect("index registry lock poisoned");
-        live.remove(name);
-        let mut map = self.inner.write().expect("index registry lock poisoned");
-        map.remove(name)
+        self.entries.write().expect("index registry lock poisoned").remove(name)?.shared()
     }
 
     /// The registered names (immutable and live), sorted for deterministic output.
     pub fn names(&self) -> Vec<String> {
-        let map = self.inner.read().expect("index registry lock poisoned");
-        let live = self.live.read().expect("index registry lock poisoned");
-        let mut names: Vec<String> = map.keys().chain(live.keys()).cloned().collect();
+        let entries = self.entries.read().expect("index registry lock poisoned");
+        let mut names: Vec<String> = entries.keys().cloned().collect();
         names.sort_unstable();
         names
     }
 
     /// Number of registered indexes (immutable and live).
     pub fn len(&self) -> usize {
-        let inner = self.inner.read().expect("index registry lock poisoned").len();
-        let live = self.live.read().expect("index registry lock poisoned").len();
-        inner + live
+        self.entries.read().expect("index registry lock poisoned").len()
     }
 
     /// Whether the registry is empty.
@@ -313,7 +302,7 @@ mod tests {
         registry.register("sh", tiny_scan(2.0));
         assert!(registry.get_sharded("sh").is_none());
         assert!(registry.get("sh").is_some());
-        // Removal clears both maps.
+        // Removal clears both lookups.
         registry.register_sharded("sh2", tiny_sharded());
         assert!(registry.remove("sh2").is_some());
         assert!(registry.get_sharded("sh2").is_none());

@@ -12,11 +12,12 @@
 
 use std::time::Instant;
 
-use p2h_core::SearchParams;
-use p2h_net::{NetError, NetResult, Router};
+use p2h_core::{SearchParams, SearchResult};
+use p2h_net::{NetResult, Router};
 
 use crate::batch::{BatchRequest, BatchResponse, LatencyHistogram};
-use crate::serve::{plan_trace, write_traces, Engine};
+use crate::metrics::EngineMetrics;
+use crate::serve::{Engine, Executed};
 
 /// A batch served through a [`Router`], plus the explicit degraded-mode record.
 #[derive(Debug, Clone)]
@@ -45,10 +46,10 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`NetError::InvalidRequest`] for client-side validation failures (mixed
-    /// query dimensions, out-of-range overrides), any other [`NetError`] for
-    /// routing failures. An unreachable shard is an error unless the router opted
-    /// into partial responses, in which case it lands in
+    /// [`p2h_net::NetError::InvalidRequest`] for client-side validation failures (a query
+    /// whose dimension differs from the first query's, out-of-range overrides), any
+    /// other `NetError` for routing failures. An unreachable shard is an error unless
+    /// the router opted into partial responses, in which case it lands in
     /// [`RemoteBatchResponse::missing_shards`] instead.
     pub fn serve_remote(
         &self,
@@ -56,75 +57,44 @@ impl Engine {
         router: &Router,
         request: &BatchRequest,
     ) -> NetResult<RemoteBatchResponse> {
-        validate_remote_request(request)?;
-        let start = Instant::now();
-        let trace = plan_trace(request);
-        let effective: &BatchRequest = match &trace {
-            Some(plan) => &plan.request,
-            None => request,
-        };
-        // Resolve overrides into flat per-query params — the server never sees the
-        // override table, so "last override wins" is decided here, identically to
-        // the local paths.
-        let params: Vec<SearchParams> =
-            (0..effective.queries.len()).map(|i| effective.params_for(i).clone()).collect();
-        let routed = router.route(&effective.queries, &params)?;
+        // The index's dimension lives on the servers; the first query's stands in.
+        let dim = request.queries.first().map_or(0, |query| query.dim());
+        self.pipeline(label, "remote", dim, request, |request| {
+            let start = Instant::now();
+            // Resolve overrides into flat per-query params — the server never sees the
+            // override table, so "last override wins" is decided here, identically to
+            // the local paths.
+            let params: Vec<SearchParams> =
+                (0..request.queries.len()).map(|i| request.params_for(i).clone()).collect();
+            let routed = router.route(&request.queries, &params)?;
 
-        let wall_time_ns = start.elapsed().as_nanos() as u64;
-        let mut latency = LatencyHistogram::new();
-        let mut total_stats = p2h_core::SearchStats::default();
-        let latencies_ns: Vec<u64> = routed
-            .results
-            .iter()
-            .map(|result| {
+            let wall_time_ns = start.elapsed().as_nanos() as u64;
+            let mut latency = LatencyHistogram::new();
+            let mut total_stats = p2h_core::SearchStats::default();
+            for result in &routed.results {
                 total_stats.merge(&result.stats);
                 latency.record(wall_time_ns);
-                wall_time_ns
-            })
-            .collect();
-        let batch = BatchResponse {
-            results: routed.results,
-            latencies_ns,
-            total_stats,
-            latency,
-            wall_time_ns,
-        };
-        self.metrics.record_batch(label, &batch);
-        if let Some(plan) = &trace {
-            write_traces(plan, label, "remote", &batch.results, &batch.latencies_ns);
-        }
-        Ok(RemoteBatchResponse { batch, missing_shards: routed.missing_shards })
+            }
+            let batch = BatchResponse {
+                latencies_ns: vec![wall_time_ns; routed.results.len()],
+                results: routed.results,
+                total_stats,
+                latency,
+                wall_time_ns,
+            };
+            Ok(RemoteBatchResponse { batch, missing_shards: routed.missing_shards })
+        })
     }
 }
 
-/// Client-side validation: the index's dimension lives on the servers, but mixed
-/// query dimensions and out-of-range overrides are detectable (and typed) before
-/// any bytes hit the wire.
-fn validate_remote_request(request: &BatchRequest) -> NetResult<()> {
-    if let Some(first) = request.queries.first() {
-        let dim = first.dim();
-        for (position, query) in request.queries.iter().enumerate() {
-            if query.dim() != dim {
-                return Err(NetError::InvalidRequest {
-                    message: format!(
-                        "query {position} has dimension {}, query 0 has {dim}",
-                        query.dim()
-                    ),
-                });
-            }
-        }
+impl Executed for RemoteBatchResponse {
+    fn record(&self, metrics: &EngineMetrics, label: &str) {
+        self.batch.record(metrics, label);
     }
-    for &(position, _) in &request.overrides {
-        if position >= request.queries.len() {
-            return Err(NetError::InvalidRequest {
-                message: format!(
-                    "override targets position {position} but the batch has {} queries",
-                    request.queries.len()
-                ),
-            });
-        }
+
+    fn per_query(&self) -> (&[SearchResult], &[u64]) {
+        self.batch.per_query()
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -133,7 +103,7 @@ mod tests {
     use std::sync::Arc;
 
     use p2h_core::{HyperplaneQuery, PointSet, Scalar, SearchParams};
-    use p2h_net::{ReplicaSet, RouterConfig, ShardServer};
+    use p2h_net::{NetError, ReplicaSet, RouterConfig, ShardServer};
     use p2h_shard::{Partitioner, ShardIndexKind, ShardedIndexBuilder};
 
     fn setup() -> (Arc<p2h_shard::ShardedIndex>, Vec<HyperplaneQuery>) {
@@ -204,11 +174,25 @@ mod tests {
         let replicas = vec![ReplicaSet::new(["127.0.0.1:1"])];
         let router = Router::new(RouterConfig::new("unused", replicas)).unwrap();
 
-        let request = BatchRequest::new(queries, SearchParams::exact(3))
+        let request = BatchRequest::new(queries.clone(), SearchParams::exact(3))
             .with_override(99, SearchParams::exact(1));
         match engine.serve_remote("unused", &router, &request) {
             Err(NetError::InvalidRequest { message }) => {
                 assert!(message.contains("position 99"), "{message}");
+            }
+            other => panic!("expected InvalidRequest, got {other:?}"),
+        }
+
+        // A query whose dimension differs from the first query's.
+        let mut mixed = queries;
+        mixed.push(HyperplaneQuery::from_normal_and_bias(&[1.0, 0.0, 2.0], 0.5).unwrap());
+        match engine.serve_remote(
+            "unused",
+            &router,
+            &BatchRequest::new(mixed, SearchParams::exact(3)),
+        ) {
+            Err(NetError::InvalidRequest { message }) => {
+                assert!(message.contains("expected 3, got 4"), "{message}");
             }
             other => panic!("expected InvalidRequest, got {other:?}"),
         }

@@ -9,40 +9,8 @@ use p2h_obs::trace::{from_env, QueryTrace, TraceSink};
 use crate::batch::{BatchRequest, BatchResponse};
 use crate::executor::BatchExecutor;
 use crate::metrics::EngineMetrics;
-use crate::registry::{IndexRegistry, SharedIndex};
+use crate::registry::{Entry, IndexRegistry};
 use crate::sharded::{ShardedBatchResponse, ShardedExecutor};
-
-/// Which execution path [`Engine::serve_front`] dispatched a batch to.
-///
-/// Every path returns answers **bit-identical** to [`Engine::serve`] /
-/// [`Engine::serve_live`] on the same name — the choice is purely a performance
-/// decision, so a front-end can log it (`p2h_front_dispatch_total{path=…}`) without
-/// callers ever observing a difference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrontPath {
-    /// The live (mutable) tier answered.
-    Live,
-    /// A sharded index answered through the shard-parallel [`ShardedExecutor`].
-    ShardParallel,
-    /// The query-parallel [`BatchExecutor`] answered — a plain index, or a sharded
-    /// one the routing heuristic judged better served across queries.
-    QueryParallel,
-}
-
-impl FrontPath {
-    /// A stable label value for dispatch counters.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FrontPath::Live => "live",
-            FrontPath::ShardParallel => "shard_parallel",
-            FrontPath::QueryParallel => "query_parallel",
-        }
-    }
-}
-
-/// Minimum recorded sub-searches per shard before the dispatch heuristic trusts the
-/// observed `p2h_shard_latency_ns` distributions over its static default.
-const DISPATCH_MIN_SHARD_SAMPLES: u64 = 64;
 
 /// A batch-query serving engine: a shared [`IndexRegistry`] plus a [`BatchExecutor`].
 ///
@@ -61,7 +29,7 @@ const DISPATCH_MIN_SHARD_SAMPLES: u64 = 64;
 pub struct Engine {
     registry: IndexRegistry,
     executor: BatchExecutor,
-    pub(crate) metrics: EngineMetrics,
+    metrics: EngineMetrics,
 }
 
 impl Engine {
@@ -146,123 +114,26 @@ impl Engine {
     /// index's augmented dimension (checked up front, so a bad query cannot panic a
     /// worker thread mid-batch).
     pub fn serve(&self, index_name: &str, request: &BatchRequest) -> Result<BatchResponse> {
-        let index = self.registry.get(index_name).ok_or_else(|| Error::InvalidParameter {
-            name: "index_name",
-            message: format!("no index registered under `{index_name}`"),
-        })?;
-        self.serve_named(index.as_ref(), index_name, request, "batch")
+        let index = self.registry.get(index_name).ok_or_else(|| unregistered("", index_name))?;
+        self.serve_entry(&Entry::Plain(index), index_name, "batch", request)
     }
 
     /// Serves a batch against whatever kind of index is registered under
     /// `index_name` — the front-end dispatch path: live indexes serve through the
-    /// live tier, sharded indexes through whichever executor shape the routing
-    /// heuristic predicts is faster, and plain indexes through the batch executor.
-    /// Returns the response together with the [`FrontPath`] actually taken.
+    /// live tier, plain and sharded indexes through the query-parallel batch
+    /// executor.
     ///
     /// The answers are **bit-identical** to [`Engine::serve`] (or
-    /// [`Engine::serve_live`] for live names) on the same request regardless of the
-    /// path chosen; sampled traces are tagged `path="front"`.
-    ///
-    /// Routing for sharded names: small batches (fewer than `2 × shards` queries)
-    /// fan each query across shards, which cuts tail latency when workers would
-    /// otherwise idle — *unless* the observed per-shard p99s
-    /// (`p2h_shard_latency_ns`) say one shard is a ≥4× straggler, in which case
-    /// fan-out would gate every query on it and query-parallel wins. Large batches
-    /// always go query-parallel (every worker stays busy without fan-out/merge
-    /// overhead).
+    /// [`Engine::serve_live`] for live names) on the same request; sampled traces are
+    /// tagged `path="front"`.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidParameter`] if no index of any kind is registered
     /// under `index_name`, plus the same validation errors as [`Engine::serve`].
-    pub fn serve_front(
-        &self,
-        index_name: &str,
-        request: &BatchRequest,
-    ) -> Result<(BatchResponse, FrontPath)> {
-        if let Some(live) = self.registry.get_live(index_name) {
-            let response = self.serve_live_on(&live, index_name, request, "front")?;
-            return Ok((response, FrontPath::Live));
-        }
-        if let Some(sharded) = self.registry.get_sharded(index_name) {
-            if self.prefer_shard_parallel(index_name, sharded.shard_count(), request.queries.len())
-            {
-                let response = self.serve_sharded_on(&sharded, index_name, request, "front")?;
-                return Ok((flatten_sharded(response), FrontPath::ShardParallel));
-            }
-            // Fall through: the trait-object map holds the same index, so the
-            // query-parallel executor serves it bit-identically.
-        }
-        let index = self.registry.get(index_name).ok_or_else(|| Error::InvalidParameter {
-            name: "index_name",
-            message: format!("no index registered under `{index_name}`"),
-        })?;
-        let response = self.serve_named(index.as_ref(), index_name, request, "front")?;
-        Ok((response, FrontPath::QueryParallel))
-    }
-
-    /// The shard-vs-query parallelism call for [`Engine::serve_front`].
-    fn prefer_shard_parallel(&self, index_name: &str, shards: usize, batch: usize) -> bool {
-        if batch >= shards.saturating_mul(2).max(2) {
-            return false; // enough queries to saturate workers without fan-out
-        }
-        match self.metrics.shard_latency_p99s(index_name, DISPATCH_MIN_SHARD_SAMPLES) {
-            Some(p99s) if !p99s.is_empty() => {
-                let mut sorted = p99s;
-                sorted.sort_unstable();
-                let median = sorted[sorted.len() / 2].max(1);
-                let slowest = *sorted.last().expect("non-empty");
-                // A heavy straggler shard gates every fanned-out query on itself.
-                slowest < median.saturating_mul(4)
-            }
-            // No (or not enough) observations yet: default to fan-out for small
-            // batches — the static half of the heuristic.
-            _ => true,
-        }
-    }
-
-    /// Serves a batch against an explicit index handle (skips the registry lookup).
-    /// Metrics for this path are labeled with the index's method name
-    /// ([`P2hIndex::name`]) since no registered name exists.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] on any query/index dimension mismatch and
-    /// [`Error::InvalidParameter`] if an override targets a position outside the batch
-    /// (a silent no-op otherwise — almost certainly an off-by-one at the call site).
-    pub fn serve_index(
-        &self,
-        index: &SharedIndex,
-        request: &BatchRequest,
-    ) -> Result<BatchResponse> {
-        self.serve_named(index.as_ref(), index.name(), request, "batch")
-    }
-
-    /// Validate → plan-trace → execute → record → write-trace.
-    fn serve_named(
-        &self,
-        index: &dyn P2hIndex,
-        label: &str,
-        request: &BatchRequest,
-        path: &str,
-    ) -> Result<BatchResponse> {
-        let (trace, response) = execute_planned(&self.executor, index, request)?;
-        Ok(self.record(label, path, trace.as_ref(), response))
-    }
-
-    /// Record → write-trace: the steps that no longer read the index.
-    fn record(
-        &self,
-        label: &str,
-        path: &str,
-        trace: Option<&TracePlan>,
-        response: BatchResponse,
-    ) -> BatchResponse {
-        self.metrics.record_batch(label, &response);
-        if let Some(plan) = trace {
-            write_traces(plan, label, path, &response.results, &response.latencies_ns);
-        }
-        response
+    pub fn serve_front(&self, index_name: &str, request: &BatchRequest) -> Result<BatchResponse> {
+        let entry = self.registry.entry(index_name).ok_or_else(|| unregistered("", index_name))?;
+        self.serve_entry(&entry, index_name, "front", request)
     }
 
     /// Serves a batch against the *sharded* index registered under `index_name`,
@@ -284,33 +155,14 @@ impl Engine {
         index_name: &str,
         request: &BatchRequest,
     ) -> Result<ShardedBatchResponse> {
-        let index =
-            self.registry.get_sharded(index_name).ok_or_else(|| Error::InvalidParameter {
-                name: "index_name",
-                message: format!("no sharded index registered under `{index_name}`"),
-            })?;
-        self.serve_sharded_on(&index, index_name, request, "sharded")
-    }
-
-    fn serve_sharded_on(
-        &self,
-        index: &Arc<p2h_shard::ShardedIndex>,
-        label: &str,
-        request: &BatchRequest,
-        path: &str,
-    ) -> Result<ShardedBatchResponse> {
-        validate_request(index.as_ref(), request)?;
+        let index = self
+            .registry
+            .get_sharded(index_name)
+            .ok_or_else(|| unregistered("sharded ", index_name))?;
         let executor = ShardedExecutor::new(self.executor.threads());
-        let trace = plan_trace(request);
-        let response = match &trace {
-            Some(plan) => executor.execute(index, &plan.request),
-            None => executor.execute(index, request),
-        };
-        self.metrics.record_sharded(label, &response);
-        if let Some(plan) = &trace {
-            write_traces(plan, label, path, &response.results, &response.latencies_ns);
-        }
-        Ok(response)
+        self.pipeline(index_name, "sharded", index.dim(), request, |request| {
+            Ok(executor.execute(&index, request))
+        })
     }
 
     /// Registers a live (mutable) index under `name` and returns the shared handle —
@@ -351,13 +203,8 @@ impl Engine {
         self.live_handle(index_name)?.delete(id)
     }
 
-    fn live_handle(&self, index_name: &str) -> std::result::Result<Arc<LiveIndex>, LiveError> {
-        self.registry.get_live(index_name).ok_or_else(|| {
-            LiveError::Core(Error::InvalidParameter {
-                name: "index_name",
-                message: format!("no live index registered under `{index_name}`"),
-            })
-        })
+    fn live_handle(&self, index_name: &str) -> Result<Arc<LiveIndex>> {
+        self.registry.get_live(index_name).ok_or_else(|| unregistered("live ", index_name))
     }
 
     /// Serves a batch against the *live* index registered under `index_name`. Same
@@ -373,49 +220,104 @@ impl Engine {
     /// Returns [`Error::InvalidParameter`] if no live index is registered under
     /// `index_name` and the same validation errors as [`Engine::serve`].
     pub fn serve_live(&self, index_name: &str, request: &BatchRequest) -> Result<BatchResponse> {
-        let index = self.registry.get_live(index_name).ok_or_else(|| Error::InvalidParameter {
-            name: "index_name",
-            message: format!("no live index registered under `{index_name}`"),
-        })?;
-        self.serve_live_on(&index, index_name, request, "live")
+        let index = self.live_handle(index_name)?;
+        self.serve_entry(&Entry::Live(index), index_name, "live", request)
     }
 
-    fn serve_live_on(
+    /// Serves a registry entry on the query-parallel path: the batch executor for an
+    /// immutable index; for a live one, the calling thread under one read view (the
+    /// background compactor and the writers own the other cores).
+    fn serve_entry(
         &self,
-        index: &Arc<LiveIndex>,
+        entry: &Entry,
         label: &str,
-        request: &BatchRequest,
         path: &str,
+        request: &BatchRequest,
     ) -> Result<BatchResponse> {
-        // The background compactor and the writers own the other cores: the calling
-        // thread is the one worker.
-        let view = index.read_view();
-        let (trace, response) = execute_planned(&BatchExecutor::new(1), view.as_index(), request)?;
-        // Writers wait on the read lock: release it before the metrics and the trace I/O.
-        drop(view);
-        Ok(self.record(label, path, trace.as_ref(), response))
+        let dim = match entry {
+            Entry::Plain(index) => index.dim(),
+            Entry::Sharded(index) => index.dim(),
+            Entry::Live(index) => index.dim(),
+        };
+        self.pipeline(label, path, dim, request, |request| {
+            Ok(match entry {
+                Entry::Plain(index) => self.executor.execute(index.as_ref(), request),
+                Entry::Sharded(index) => self.executor.execute(index.as_ref(), request),
+                Entry::Live(index) => {
+                    let view = index.read_view();
+                    BatchExecutor::new(1).execute(view.as_index(), request)
+                }
+            })
+        })
+    }
+
+    /// Validate → plan-trace → execute → record → write-trace: the one path every
+    /// entry point serves through. `execute` answers the request (sampled queries
+    /// rewritten to collect timing); anything it locks, such as a live view, is
+    /// released when it returns, before the metrics and the trace I/O.
+    pub(crate) fn pipeline<R: Executed, E: From<Error>>(
+        &self,
+        label: &str,
+        path: &str,
+        dim: usize,
+        request: &BatchRequest,
+        execute: impl FnOnce(&BatchRequest) -> std::result::Result<R, E>,
+    ) -> std::result::Result<R, E> {
+        validate_request(dim, request)?;
+        let trace = plan_trace(request);
+        let response = execute(trace.as_ref().map_or(request, |plan| &plan.request))?;
+        response.record(&self.metrics, label);
+        if let Some(plan) = &trace {
+            let (results, latencies_ns) = response.per_query();
+            write_traces(plan, label, path, results, latencies_ns);
+        }
+        Ok(response)
     }
 }
 
-/// Drops the per-shard telemetry off a [`ShardedBatchResponse`], leaving the merged
-/// per-query payload a front-end actually returns to clients. The results, latencies,
-/// and stats are moved, not recomputed — bit-for-bit what the sharded path produced.
-fn flatten_sharded(response: ShardedBatchResponse) -> BatchResponse {
-    BatchResponse {
-        results: response.results,
-        latencies_ns: response.latencies_ns,
-        latency: response.latency,
-        total_stats: response.total_stats,
-        wall_time_ns: response.wall_time_ns,
+/// What the pipeline's record and trace steps read off an executed batch.
+pub(crate) trait Executed {
+    /// Publishes the batch to `metrics` under `label`.
+    fn record(&self, metrics: &EngineMetrics, label: &str);
+    /// Per-query results and latencies, in request order.
+    fn per_query(&self) -> (&[SearchResult], &[u64]);
+}
+
+impl Executed for BatchResponse {
+    fn record(&self, metrics: &EngineMetrics, label: &str) {
+        metrics.record_batch(label, self);
+    }
+
+    fn per_query(&self) -> (&[SearchResult], &[u64]) {
+        (&self.results, &self.latencies_ns)
+    }
+}
+
+impl Executed for ShardedBatchResponse {
+    fn record(&self, metrics: &EngineMetrics, label: &str) {
+        metrics.record_sharded(label, self);
+    }
+
+    fn per_query(&self) -> (&[SearchResult], &[u64]) {
+        (&self.results, &self.latencies_ns)
+    }
+}
+
+/// The error for a name that holds no index of the kind asked for (`kind` is `""`,
+/// `"sharded "` or `"live "`).
+fn unregistered(kind: &str, index_name: &str) -> Error {
+    Error::InvalidParameter {
+        name: "index_name",
+        message: format!("no {kind}index registered under `{index_name}`"),
     }
 }
 
 /// The sink plus everything execution needs when at least one query of a batch is
 /// sampled: the rewritten request (sampled queries get `collect_timing`) and the
 /// sampled `(position, trace sequence number)` pairs.
-pub(crate) struct TracePlan {
+struct TracePlan {
     sink: &'static TraceSink,
-    pub(crate) request: BatchRequest,
+    request: BatchRequest,
     sampled: Vec<(usize, u64)>,
 }
 
@@ -423,7 +325,7 @@ pub(crate) struct TracePlan {
 /// `None` (and touches nothing) when tracing is disabled or no query won the sampling
 /// draw; otherwise returns a copy of the request whose sampled queries have
 /// `collect_timing` enabled — clock reads only, answers unchanged.
-pub(crate) fn plan_trace(request: &BatchRequest) -> Option<TracePlan> {
+fn plan_trace(request: &BatchRequest) -> Option<TracePlan> {
     let sink = from_env()?;
     let sampled: Vec<(usize, u64)> =
         (0..request.queries.len()).filter_map(|i| sink.sample().map(|seq| (i, seq))).collect();
@@ -440,7 +342,7 @@ pub(crate) fn plan_trace(request: &BatchRequest) -> Option<TracePlan> {
 }
 
 /// Writes one JSON-line span per sampled query of a completed batch.
-pub(crate) fn write_traces(
+fn write_traces(
     plan: &TracePlan,
     index: &str,
     path: &str,
@@ -477,22 +379,10 @@ pub(crate) fn write_traces(
     }
 }
 
-/// Validate → plan-trace → execute: the steps that read the index.
-fn execute_planned(
-    executor: &BatchExecutor,
-    index: &dyn P2hIndex,
-    request: &BatchRequest,
-) -> Result<(Option<TracePlan>, BatchResponse)> {
-    validate_request(index, request)?;
-    let trace = plan_trace(request);
-    let response = executor.execute(index, trace.as_ref().map_or(request, |plan| &plan.request));
-    Ok((trace, response))
-}
-
-/// Up-front request validation shared by every serving path: dimension mismatches and
-/// out-of-range overrides are errors, not worker-thread panics or silent no-ops.
-fn validate_request(index: &dyn P2hIndex, request: &BatchRequest) -> Result<()> {
-    let dim = index.dim();
+/// Up-front request validation shared by every serving path: dimension mismatches
+/// (against `dim`) and out-of-range overrides are errors, not worker-thread panics or
+/// silent no-ops.
+fn validate_request(dim: usize, request: &BatchRequest) -> Result<()> {
     for query in &request.queries {
         if query.dim() != dim {
             return Err(Error::DimensionMismatch { expected: dim, actual: query.dim() });
@@ -601,23 +491,23 @@ mod tests {
             }
         };
 
-        // Plain index: the only path is query-parallel.
+        // Plain and sharded names, small and large batches: the query-parallel path,
+        // bit-identical to `serve`.
         let request = make_request(3);
-        let (front, path) = engine.serve_front("scan", &request).unwrap();
-        assert_eq!(path, FrontPath::QueryParallel);
-        assert_same(&front, &engine.serve("scan", &request).unwrap());
-
-        // Sharded, small batch (< 2×shards): fan-out across shards.
+        assert_same(
+            &engine.serve_front("scan", &request).unwrap(),
+            &engine.serve("scan", &request).unwrap(),
+        );
         let small = make_request(2);
-        let (front, path) = engine.serve_front("sh", &small).unwrap();
-        assert_eq!(path, FrontPath::ShardParallel);
-        assert_same(&front, &engine.serve("sh", &small).unwrap());
-
-        // Sharded, large batch: query-parallel wins.
+        assert_same(
+            &engine.serve_front("sh", &small).unwrap(),
+            &engine.serve("sh", &small).unwrap(),
+        );
         let large = make_request(16);
-        let (front, path) = engine.serve_front("sh", &large).unwrap();
-        assert_eq!(path, FrontPath::QueryParallel);
-        assert_same(&front, &engine.serve("sh", &large).unwrap());
+        assert_same(
+            &engine.serve_front("sh", &large).unwrap(),
+            &engine.serve("sh", &large).unwrap(),
+        );
 
         // Unknown names are typed errors on the front path too.
         assert!(matches!(

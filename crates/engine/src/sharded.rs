@@ -5,8 +5,8 @@
 //! `ShardedIndex` is searched shard-by-shard inside one worker), which maximizes batch
 //! throughput. The [`ShardedExecutor`] parallelizes over *(shard, query)* sub-searches
 //! instead: several workers cooperate on each query's fan-out, which cuts single-query
-//! latency when the batch is small relative to the core count — the serving regime the
-//! ROADMAP's async front-end targets. Merged results are **bit-identical** to
+//! latency when the batch is small relative to the core count (`Engine::serve_sharded`
+//! is its one serving path). Merged results are **bit-identical** to
 //! [`p2h_core::P2hIndex::search`] on the same `ShardedIndex` (and therefore, for exact
 //! search, to an unsharded index): the merge uses the total `Neighbor` order, so the
 //! interleaving of sub-searches cannot influence any answer.

@@ -68,8 +68,10 @@ fn removal_mid_flight_does_not_invalidate_served_handles() {
     assert!(engine.registry().remove("victim").is_some());
     assert!(engine.registry().get("victim").is_none());
 
+    // The surviving handle serves again once registered under another name.
     let request = BatchRequest::new(queries, SearchParams::exact(3));
-    let response = engine.serve_index(&handle, &request).unwrap();
+    engine.registry().register_shared("survivor", handle);
+    let response = engine.serve("survivor", &request).unwrap();
     assert_eq!(response.results.len(), 8);
 
     // Serving by the removed name is a clean error.

@@ -7,8 +7,6 @@
 //!
 //! CI re-runs this suite under `P2H_FORCE_SCALAR=1` and both `P2H_STORE_MMAP` modes.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use p2h_core::{
     BranchPreference, LinearScan, P2hIndex, PointSet, QueryScratch, SearchParams, SearchResult,
     GROUP_WIDTH,
@@ -18,6 +16,11 @@ use p2h_engine::{
     BallTree, BallTreeBuilder, BatchExecutor, BatchRequest, BcTree, BcTreeBuilder, LoadMode, Store,
 };
 use proptest::prelude::*;
+
+#[path = "../../store/tests/common/mod.rs"]
+mod common;
+
+use common::TestDir;
 
 /// `n` points of which the second half repeats the first, row for row.
 fn duplicated_points(n: usize, dim: usize, seed: u64) -> PointSet {
@@ -61,21 +64,15 @@ fn assert_stats_invariants(result: &SearchResult, n: usize, context: &str) {
     assert!(s.nodes_visited >= 1, "{context}: {s}");
 }
 
-static STORE_SERIAL: AtomicUsize = AtomicUsize::new(0);
-
 /// Saves both trees and loads them back: the BC-Tree always memory-mapped, the
 /// Ball-Tree by whatever `P2H_STORE_MMAP` selects.
 fn through_a_store(ball: &BallTree, bc: &BcTree) -> (BallTree, BcTree) {
-    let mut dir = std::env::temp_dir();
-    let serial = STORE_SERIAL.fetch_add(1, Ordering::Relaxed);
-    dir.push(format!("p2h-group-search-{}-{serial}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = TestDir::new("group-search");
     let store = Store::create(&dir).unwrap();
     store.save("ball", ball).unwrap();
     store.save("bc", bc).unwrap();
     let loaded_ball: BallTree = store.load("ball").unwrap();
     let mapped_bc: BcTree = store.with_mode(LoadMode::Mmap).load("bc").unwrap();
-    std::fs::remove_dir_all(&dir).ok();
     (loaded_ball, mapped_bc)
 }
 

@@ -21,6 +21,11 @@ use p2h_core::SearchParams;
 use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
 use p2h_engine::{BallTreeBuilder, BatchExecutor, BatchRequest, Engine, Store};
 
+#[path = "../../store/tests/common/mod.rs"]
+mod common;
+
+use common::TestDir;
+
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -46,13 +51,6 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-fn temp_dir(name: &str) -> std::path::PathBuf {
-    let mut dir = std::env::temp_dir();
-    dir.push(format!("p2h-obs-overhead-{}-{name}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
 }
 
 #[test]
@@ -84,7 +82,7 @@ fn instrumented_serving_keeps_the_allocation_budget_and_bit_identity() {
 
     // Cold-start the engine from a snapshot store under the env-selected load mode:
     // the serve path below is exactly what a serving process runs.
-    let dir = temp_dir("store");
+    let dir = TestDir::new("obs-overhead");
     let store = Store::create(&dir).unwrap();
     store.save("tree", &tree).unwrap();
     let engine = Engine::from_store(&dir, 1).unwrap();
@@ -145,5 +143,4 @@ fn instrumented_serving_keeps_the_allocation_budget_and_bit_identity() {
     // The measured batch is visible in the exposition dump.
     let dump = engine.render_metrics();
     assert!(dump.contains("p2h_query_latency_ns_bucket{index=\"tree\""));
-    std::fs::remove_dir_all(&dir).ok();
 }

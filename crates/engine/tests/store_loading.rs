@@ -2,14 +2,17 @@
 //! `Engine::from_store` must reproduce the answers of the process that built and
 //! saved the indexes, bit for bit.
 
-use std::path::PathBuf;
-
 use p2h_core::{HyperplaneQuery, LinearScan, PointSet, SearchParams};
 use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
 use p2h_engine::{
     BallTreeBuilder, BatchRequest, BcTreeBuilder, Engine, IndexRegistry, Partitioner,
     ShardIndexKind, ShardedIndexBuilder, Store, StoreError,
 };
+
+#[path = "../../store/tests/common/mod.rs"]
+mod common;
+
+use common::TestDir;
 
 fn dataset(n: usize, dim: usize) -> PointSet {
     SyntheticDataset::new(
@@ -23,16 +26,9 @@ fn dataset(n: usize, dim: usize) -> PointSet {
     .unwrap()
 }
 
-fn temp_dir(name: &str) -> PathBuf {
-    let mut dir = std::env::temp_dir();
-    dir.push(format!("p2h-engine-store-{}-{name}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
-
 #[test]
 fn engine_cold_starts_from_a_store_with_identical_answers() {
-    let dir = temp_dir("cold-start");
+    let dir = TestDir::new("engine-cold-start");
     let ps = dataset(6_000, 12);
     let queries: Vec<HyperplaneQuery> =
         generate_queries(&ps, 48, QueryDistribution::DataDifference, 5).unwrap();
@@ -68,13 +64,11 @@ fn engine_cold_starts_from_a_store_with_identical_answers() {
             assert_eq!(a.neighbors, b.neighbors, "index {name}");
         }
     }
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn engine_cold_starts_a_sharded_index_from_a_shard_group() {
-    let dir = temp_dir("sharded-cold-start");
+    let dir = TestDir::new("engine-sharded-cold-start");
     let ps = dataset(5_000, 10);
     let queries: Vec<HyperplaneQuery> =
         generate_queries(&ps, 32, QueryDistribution::DataDifference, 8).unwrap();
@@ -119,14 +113,12 @@ fn engine_cold_starts_a_sharded_index_from_a_shard_group() {
 
     // The plain index is not reachable through the sharded serving path.
     assert!(engine.serve_sharded("scan", &request).is_err());
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn open_dir_surfaces_store_errors() {
-    let dir = temp_dir("errors");
-    assert!(matches!(IndexRegistry::open_dir(&dir), Err(StoreError::Io { .. })));
+    let dir = TestDir::new("engine-store-errors");
+    assert!(matches!(IndexRegistry::open_dir(dir.join("missing")), Err(StoreError::Io { .. })));
 
     // A manifest entry whose snapshot file is corrupt: loading is all-or-nothing.
     let store = Store::create(&dir).unwrap();
@@ -138,14 +130,12 @@ fn open_dir_surfaces_store_errors() {
     std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(IndexRegistry::open_dir(&dir), Err(StoreError::ChecksumMismatch { .. })));
     assert!(Engine::from_store(&dir, 1).is_err());
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn mmap_cold_start_serves_bit_identically_to_copy() {
     use p2h_store::LoadMode;
-    let dir = temp_dir("mmap-cold-start");
+    let dir = TestDir::new("engine-mmap-cold-start");
     let ps = dataset(3_000, 10);
     let queries: Vec<HyperplaneQuery> =
         generate_queries(&ps, 24, QueryDistribution::DataDifference, 11).unwrap();
@@ -186,6 +176,4 @@ fn mmap_cold_start_serves_bit_identically_to_copy() {
     for (x, y) in a.results.iter().zip(&b.results) {
         assert_eq!(x.neighbors, y.neighbors);
     }
-
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -12,11 +12,15 @@ use p2h_core::SearchParams;
 use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
 use p2h_engine::{BallTreeBuilder, BatchExecutor, BatchRequest, Engine};
 
+#[path = "../../store/tests/common/mod.rs"]
+mod common;
+
+use common::TestDir;
+
 #[test]
 fn sampled_queries_are_traced_without_perturbing_answers() {
-    let trace_path =
-        std::env::temp_dir().join(format!("p2h-trace-sampling-{}.jsonl", std::process::id()));
-    std::fs::remove_file(&trace_path).ok();
+    let dir = TestDir::new("trace-sampling");
+    let trace_path = dir.join("trace.jsonl");
     // Resolved by the first serve in this process; rate 3 = every third query.
     std::env::set_var("P2H_TRACE", format!("{}:3", trace_path.display()));
 
@@ -84,6 +88,5 @@ fn sampled_queries_are_traced_without_perturbing_answers() {
     assert!(!first.contains("\"latency_ns\":0,"), "sampled query should have latency");
     assert!(!first.contains("\"nodes_visited\":0,"), "tree search visits nodes");
 
-    std::fs::remove_file(&trace_path).ok();
     std::env::remove_var("P2H_TRACE");
 }

@@ -17,11 +17,10 @@
 //!   [`p2h_engine::Engine`] from the snapshot store and swaps it in under live
 //!   traffic; in-flight batches finish on the engine they captured.
 //!
-//! Batches dispatch through `Engine::serve_front`, which routes each one to the
-//! live / shard-parallel / query-parallel path using the registry and the
-//! observed `p2h_shard_latency_ns` histograms. The `p2h_front_*` metric families
-//! (catalog in `docs/OBSERVABILITY.md`) expose queue depth, batch sizes, shed
-//! counts, and dispatch paths; `docs/SERVING.md` documents the protocol and
+//! Batches dispatch through `Engine::serve_front`, which serves a live name on the
+//! live tier and every other name on the query-parallel batch executor. The
+//! `p2h_front_*` metric families (catalog in `docs/OBSERVABILITY.md`) expose queue
+//! depth, batch sizes and shed counts; `docs/SERVING.md` documents the protocol and
 //! operational lifecycle.
 //!
 //! # Quickstart

@@ -4,7 +4,6 @@
 
 use std::sync::Arc;
 
-use p2h_engine::FrontPath;
 use p2h_obs::{Counter, Gauge, Histogram};
 
 /// Cached instrument handles for one front-end server.
@@ -28,8 +27,6 @@ pub(crate) struct FrontMetrics {
     pub shed_deadline: Arc<Counter>,
     /// Completed zero-downtime engine reloads.
     pub reloads: Arc<Counter>,
-    /// Batches dispatched per engine path (`path="live"|"shard_parallel"|"query_parallel"`).
-    dispatch: [Arc<Counter>; 3],
 }
 
 impl FrontMetrics {
@@ -40,13 +37,6 @@ impl FrontMetrics {
                 "p2h_front_shed_total",
                 "Requests shed by admission control, by reason — typed errors, never drops.",
                 &[("reason", reason)],
-            )
-        };
-        let dispatch = |path: FrontPath| {
-            reg.counter(
-                "p2h_front_dispatch_total",
-                "Coalesced batches dispatched, by engine serving path.",
-                &[("path", path.as_str())],
             )
         };
         Self {
@@ -87,20 +77,6 @@ impl FrontMetrics {
                 "Zero-downtime engine reloads completed.",
                 &[],
             ),
-            dispatch: [
-                dispatch(FrontPath::Live),
-                dispatch(FrontPath::ShardParallel),
-                dispatch(FrontPath::QueryParallel),
-            ],
-        }
-    }
-
-    /// The dispatch counter for `path`.
-    pub fn dispatch_for(&self, path: FrontPath) -> &Arc<Counter> {
-        match path {
-            FrontPath::Live => &self.dispatch[0],
-            FrontPath::ShardParallel => &self.dispatch[1],
-            FrontPath::QueryParallel => &self.dispatch[2],
         }
     }
 }

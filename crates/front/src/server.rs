@@ -631,10 +631,9 @@ fn serve_batch(shared: &Shared, index: &str, items: Vec<Pending>) {
     // Queue wait ends where service begins: stamped before the engine call.
     let dispatched = Instant::now();
     match engine.serve_front(index, &request) {
-        Ok((response, path)) => {
+        Ok(response) => {
             shared.metrics.batches.inc();
             shared.metrics.batch_size.record(accepted.len() as u64);
-            shared.metrics.dispatch_for(path).inc();
             for (pending, result) in accepted.into_iter().zip(response.results) {
                 shared.metrics.queue_wait_ns.record(
                     dispatched.saturating_duration_since(pending.enqueued).as_nanos() as u64,

@@ -192,6 +192,14 @@ impl From<std::io::Error> for NetError {
     }
 }
 
+/// A request the core rejects before it is routed — a query of the wrong dimension, an
+/// override outside the batch — is an invalid request: no bytes hit the wire.
+impl From<p2h_core::Error> for NetError {
+    fn from(e: p2h_core::Error) -> Self {
+        NetError::InvalidRequest { message: e.to_string() }
+    }
+}
+
 impl NetError {
     /// Whether a retry against another replica (or the same one, after backoff) can
     /// plausibly succeed. Validation and version errors are deterministic — retrying

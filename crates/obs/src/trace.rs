@@ -118,8 +118,9 @@ pub struct QueryTrace<'a> {
     /// Name the index is registered under.
     pub index: &'a str,
     /// Serving path: `"batch"` (query-parallel), `"sharded"` (fan-out),
-    /// `"live"` (layered memtable + base), or `"front"` (coalesced batches
-    /// dispatched through `Engine::serve_front`).
+    /// `"live"` (layered memtable + base), `"front"` (coalesced batches served
+    /// through `Engine::serve_front`, query-parallel or live by entry kind), or
+    /// `"remote"` (routed through `Engine::serve_remote`).
     pub path: &'a str,
     /// Query position within its batch.
     pub query: usize,

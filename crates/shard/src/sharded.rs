@@ -3,8 +3,8 @@
 use std::time::Instant;
 
 use p2h_core::{
-    HyperplaneQuery, P2hIndex, QueryScratch, SearchParams, SearchResult, SearchStats, VecBuf,
-    GROUP_WIDTH,
+    traversal_run, HyperplaneQuery, P2hIndex, QueryScratch, SearchParams, SearchResult,
+    SearchStats, VecBuf, GROUP_WIDTH,
 };
 use p2h_store::LoadedIndex;
 
@@ -205,20 +205,12 @@ impl ShardedIndex {
         let mut run = Vec::with_capacity(GROUP_WIDTH);
         let mut i = 0;
         while i < queries.len() {
-            let Some(first) = &sliced[i] else {
+            if sliced[i].is_none() {
                 answers.push(None);
                 i += 1;
                 continue;
-            };
-            let mut members = [first; GROUP_WIDTH];
-            let mut width = 1;
-            while width < GROUP_WIDTH {
-                match sliced.get(i + width) {
-                    Some(Some(next)) if first.shares_traversal_with(next) => members[width] = next,
-                    _ => break,
-                }
-                width += 1;
             }
+            let (members, width) = traversal_run(sliced[i..].iter().map_while(Option::as_ref));
             index.search_group_with_scratch(
                 &queries[i..i + width],
                 &members[..width],

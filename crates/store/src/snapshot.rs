@@ -655,3 +655,38 @@ impl Snapshot for FhIndex {
         Ok(FhIndex::from_parts(points, transform, partitions, params)?)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_support::TestDir;
+    use crate::Store;
+
+    /// A write that fails after part of the `.tmp` reached the disk: the save is a typed
+    /// I/O error, the previous file under `path` is untouched, and the leftover `.tmp`
+    /// is the sweep's to reclaim.
+    #[test]
+    fn a_save_failing_mid_stream_keeps_the_previous_file_and_leaves_a_sweepable_tmp() {
+        let dir = TestDir::new("stage-mid-stream");
+        let store = Store::create(&*dir).unwrap().with_sweep_grace(std::time::Duration::ZERO);
+        let path = dir.join("entry.p2hs");
+        stage_file(&path, false, |out| out.write_all(b"the previous save")).unwrap();
+
+        let err = stage_file(&path, false, |out| {
+            out.write_all(b"half of the next")?;
+            Err(io::Error::other("device full"))
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Io { message, .. } if message.contains("device full")),
+            "expected a typed Io error, got {err:?}"
+        );
+        assert_eq!(fs::read(&path).unwrap(), b"the previous save");
+        let tmp = dir.join("entry.p2hs.tmp");
+        assert_eq!(fs::read(&tmp).unwrap(), b"half of the next");
+
+        assert_eq!(store.sweep_now().unwrap(), 1);
+        assert!(!tmp.exists());
+        assert_eq!(fs::read(&path).unwrap(), b"the previous save");
+    }
+}

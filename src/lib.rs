@@ -124,14 +124,15 @@
 //!
 //! ## Metrics and tracing
 //!
-//! Serving is instrumented end to end: every `Engine::serve`/`serve_sharded` call
-//! records per-index query-latency histograms, batch sizes, per-shard latency, and
-//! every [`SearchStats`] counter into a process-wide lock-free registry ([`obs`]),
-//! and the store layer publishes snapshot load timings split into read/CRC/decode
-//! stages. `Engine::render_metrics` returns the whole registry in Prometheus text
-//! exposition format; recording costs no per-query allocation or atomics (see
-//! `docs/OBSERVABILITY.md` for the metric catalog and the `P2H_TRACE` sampled
-//! query-tracing facility):
+//! Serving is instrumented end to end: every engine entry point (`serve`,
+//! `serve_front`, `serve_sharded`, `serve_live`, `serve_remote`) runs one
+//! validate → trace → execute → record pipeline that records per-index query-latency
+//! histograms, batch sizes, per-shard latency, and every [`SearchStats`] counter into
+//! a process-wide lock-free registry ([`obs`]), and the store layer publishes
+//! snapshot load timings split into read/CRC/decode stages. `Engine::render_metrics`
+//! returns the whole registry in Prometheus text exposition format; recording costs
+//! no per-query allocation or atomics (see `docs/OBSERVABILITY.md` for the metric
+//! catalog and the `P2H_TRACE` sampled query-tracing facility):
 //!
 //! ```
 //! use p2hnns::engine::{BatchRequest, Engine};
@@ -270,11 +271,13 @@
 //! The [`front`] layer puts a production-shaped TCP front door on an engine:
 //! concurrent single queries from many connections **coalesce** into engine
 //! batches under a tunable `max_batch`/`max_delay` policy (answers stay
-//! bit-identical to serving each query alone — batching is pure throughput), a
-//! bounded admission queue sheds overload and lapsed deadlines with **typed**
-//! errors, a `Reload` request swaps in a freshly cold-started engine with zero
-//! dropped requests, and `MetricsRequest` serves the Prometheus registry over the
-//! same socket. See `docs/SERVING.md` for the protocol and operations guide:
+//! bit-identical to serving each query alone — batching is pure throughput; each
+//! batch is served through `Engine::serve_front`, live names on the live tier and
+//! every other name on the query-parallel executor), a bounded admission queue
+//! sheds overload and lapsed deadlines with **typed** errors, a `Reload` request
+//! swaps in a freshly cold-started engine with zero dropped requests, and
+//! `MetricsRequest` serves the Prometheus registry over the same socket. See
+//! `docs/SERVING.md` for the protocol and operations guide:
 //!
 //! ```
 //! use p2hnns::front::{FrontClient, FrontConfig, FrontServer};
