@@ -15,11 +15,13 @@
 //! | `fig10_time_profile` | Figure 10 — query time profile |
 //! | `fig11_leaf_size` | Figure 11 — impact of the leaf size N0 |
 //!
-//! All binaries accept `--scale <f>` (cardinality multiplier applied to the paper's data
-//! set sizes), `--queries <n>`, `--k <n>`, `--datasets <substring[,substring]>` and
-//! `--out <dir>`; results are printed as Markdown tables and written as CSV under the
-//! output directory (default `results/`). The Criterion benches (`cargo bench`)
-//! micro-benchmark the kernels, index construction, and single queries.
+//! The figure and table binaries accept `--scale <f>` (cardinality multiplier applied
+//! to the paper's data set sizes), `--queries <n>`, `--k <n>`, `--datasets
+//! <substring[,substring]>` and `--out <dir>`; results are printed as Markdown tables
+//! and written as CSV under the output directory (default `results/`). `kernel_bench` micro-benchmarks the
+//! verification kernels and the checksum; the serving stack (engine, store, shards,
+//! network, front-end, live tier) is measured end to end by the `p2h-benchmark`
+//! package under `benchmark/`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -180,45 +182,6 @@ pub fn emit(cfg: &BenchConfig, file_stem: &str, headers: &[&str], rows: &[Vec<St
 
 /// Formats a boxed index set (label + trait object) commonly used by the figure benches.
 pub type MethodSet = Vec<(String, Box<dyn P2hIndex>)>;
-
-/// Shared fixtures of the serving-layer benches (`snapshot_bench`, `shard_bench`):
-/// one dataset/query recipe and one bit-level answer comparison, so the two binaries
-/// measure the same workload instead of each re-declaring it.
-pub mod serving {
-    use p2h_core::{HyperplaneQuery, PointSet, SearchResult};
-    use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
-
-    /// The clustered dataset both serving benches measure against (10 Gaussian
-    /// clusters, σ = 1.5, fixed seed — reproducible across runs and binaries).
-    pub fn clustered_dataset(name: &str, n: usize, dim: usize) -> PointSet {
-        SyntheticDataset::new(
-            name,
-            n,
-            dim,
-            DataDistribution::GaussianClusters { clusters: 10, std_dev: 1.5 },
-            7,
-        )
-        .generate()
-        .expect("synthetic generation")
-    }
-
-    /// The data-difference query batch both serving benches use (fixed seed).
-    pub fn serving_queries(points: &PointSet, count: usize) -> Vec<HyperplaneQuery> {
-        generate_queries(points, count, QueryDistribution::DataDifference, 13)
-            .expect("query generation")
-    }
-
-    /// Bit-level comparison of two answer sets (ids and distance bits).
-    pub fn bit_identical(a: &[SearchResult], b: &[SearchResult]) -> bool {
-        a.len() == b.len()
-            && a.iter().zip(b).all(|(x, y)| {
-                x.neighbors.len() == y.neighbors.len()
-                    && x.neighbors.iter().zip(&y.neighbors).all(|(m, n)| {
-                        m.index == n.index && m.distance.to_bits() == n.distance.to_bits()
-                    })
-            })
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,13 @@
 //! Engine determinism: parallel batch execution must return results bit-identical to
 //! sequential per-query execution, for every index type and thread count.
 
+use std::sync::Arc;
+
 use p2h_core::{HyperplaneQuery, LinearScan, P2hIndex, PointSet, SearchParams};
 use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
-use p2h_engine::{BallTreeBuilder, BatchExecutor, BatchRequest, BcTreeBuilder, Engine};
+use p2h_engine::{
+    BallTreeBuilder, BatchExecutor, BatchRequest, BcTreeBuilder, Engine, SharedIndex,
+};
 
 fn setup() -> (PointSet, Vec<HyperplaneQuery>) {
     let points = SyntheticDataset::new(
@@ -62,20 +66,24 @@ fn parallel_batches_match_sequential_search_for_every_index() {
 #[test]
 fn engine_serve_matches_direct_execution() {
     let (points, queries) = setup();
-    let engine = Engine::new(4);
-    engine.registry().register("bc", BcTreeBuilder::new(100).build(&points).unwrap());
-
-    let request = BatchRequest::new(queries.clone(), SearchParams::exact(5));
-    let via_engine = engine.serve("bc", &request).unwrap();
-
-    let direct = engine.registry().get("bc").unwrap();
-    let reference: Vec<_> =
-        queries.iter().map(|q| direct.search(q, &SearchParams::exact(5))).collect();
-    for (got, want) in via_engine.results.iter().zip(reference.iter()) {
-        assert_eq!(got.neighbors, want.neighbors);
+    // One shared tree (built in parallel) behind engines of every thread count, for an
+    // exact and a budgeted batch: serving must reproduce direct search each time.
+    let bc: SharedIndex = Arc::new(BcTreeBuilder::new(100).build_parallel(&points, 4).unwrap());
+    for params in [SearchParams::exact(5), SearchParams::approximate(10, 2_000)] {
+        let request = BatchRequest::new(queries.clone(), params.clone());
+        let reference: Vec<_> = queries.iter().map(|q| bc.search(q, &params)).collect();
+        for threads in [1, 2, 4, 8] {
+            let engine = Engine::new(threads);
+            engine.registry().register_shared("bc", Arc::clone(&bc));
+            let via_engine = engine.serve("bc", &request).unwrap();
+            assert_eq!(via_engine.results.len(), reference.len());
+            for (qi, (got, want)) in via_engine.results.iter().zip(reference.iter()).enumerate() {
+                assert_eq!(got.neighbors, want.neighbors, "{params:?}, threads={threads}, q{qi}");
+            }
+            assert_eq!(via_engine.latency.count(), queries.len());
+            assert!(via_engine.total_stats.candidates_verified > 0);
+        }
     }
-    assert_eq!(via_engine.latency.count(), queries.len());
-    assert!(via_engine.total_stats.candidates_verified > 0);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! `Engine::from_store` must reproduce the answers of the process that built and
 //! saved the indexes, bit for bit.
 
-use p2h_core::{HyperplaneQuery, LinearScan, PointSet, SearchParams};
+use p2h_core::{HyperplaneQuery, LinearScan, P2hIndex, PointSet, SearchParams};
 use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
 use p2h_engine::{
     BallTreeBuilder, BatchRequest, BcTreeBuilder, Engine, IndexRegistry, Partitioner,
@@ -68,51 +68,66 @@ fn engine_cold_starts_from_a_store_with_identical_answers() {
 
 #[test]
 fn engine_cold_starts_a_sharded_index_from_a_shard_group() {
-    let dir = TestDir::new("engine-sharded-cold-start");
     let ps = dataset(5_000, 10);
     let queries: Vec<HyperplaneQuery> =
         generate_queries(&ps, 32, QueryDistribution::DataDifference, 8).unwrap();
-    let request = BatchRequest::new(queries, SearchParams::exact(10))
+    let request = BatchRequest::new(queries.clone(), SearchParams::exact(10))
         .with_override(1, SearchParams::approximate(10, 500));
+    // Every exact position must also match the unsharded linear scan.
+    let scan = LinearScan::new(ps.clone());
+    let unsharded: Vec<_> =
+        queries.iter().enumerate().map(|(i, q)| scan.search(q, request.params_for(i))).collect();
 
-    // "Offline" process: build the sharded index, serve once for reference, snapshot
-    // it as a shard group next to a plain index.
-    let sharded = ShardedIndexBuilder::new(
-        Partitioner::Hash { shards: 4 },
-        ShardIndexKind::BcTree { leaf_size: 64 },
-    )
-    .with_seed(7)
-    .build(&ps)
-    .unwrap();
-    let offline = Engine::new(2);
-    offline.registry().register_sharded("sharded", sharded);
-    offline.registry().register("scan", LinearScan::new(ps.clone()));
-    let reference = offline.serve("sharded", &request).unwrap();
+    for shards in [1, 2, 3, 4, 5, 8] {
+        let dir = TestDir::new("engine-sharded-cold-start");
+        // "Offline" process: build the sharded index, serve once through each path
+        // for reference, snapshot it as a shard group next to a plain index.
+        let sharded = ShardedIndexBuilder::new(
+            Partitioner::Hash { shards },
+            ShardIndexKind::BcTree { leaf_size: 64 },
+        )
+        .with_seed(7)
+        .build(&ps)
+        .unwrap();
+        let offline = Engine::new(2);
+        offline.registry().register_sharded("sharded", sharded);
+        let reference = offline.serve("sharded", &request).unwrap();
+        let offline_shard_parallel = offline.serve_sharded("sharded", &request).unwrap();
+        for (i, (a, b)) in reference.results.iter().zip(&offline_shard_parallel.results).enumerate()
+        {
+            assert_eq!(a.neighbors, b.neighbors, "shards={shards} q{i}: the two serving paths");
+            if request.params_for(i).candidate_limit.is_none() {
+                assert_eq!(a.neighbors, unsharded[i].neighbors, "shards={shards} q{i}: unsharded");
+            }
+        }
 
-    let store = Store::create(&dir).unwrap();
-    offline.registry().get_sharded("sharded").unwrap().save_into(&store, "sharded").unwrap();
-    store.save("scan", &LinearScan::new(ps.clone())).unwrap();
+        let store = Store::create(&dir).unwrap();
+        offline.registry().get_sharded("sharded").unwrap().save_into(&store, "sharded").unwrap();
+        store.save("scan", &scan).unwrap();
 
-    // "Serving" process: cold-start purely from the directory; both serving paths
-    // (query-parallel trait path and shard-parallel executor) must answer
-    // bit-identically to the offline process.
-    let engine = Engine::from_store(&dir, 3).unwrap();
-    assert_eq!(engine.registry().names(), vec!["scan", "sharded"]);
-    assert_eq!(engine.registry().get_sharded("sharded").unwrap().shard_count(), 4);
+        // "Serving" process: cold-start purely from the directory; both serving paths
+        // (query-parallel trait path and shard-parallel executor) must answer
+        // bit-identically to the offline process.
+        let engine = Engine::from_store(&dir, 3).unwrap();
+        assert_eq!(engine.registry().names(), vec!["scan", "sharded"]);
+        assert_eq!(engine.registry().get_sharded("sharded").unwrap().shard_count(), shards);
 
-    let served = engine.serve("sharded", &request).unwrap();
-    let shard_parallel = engine.serve_sharded("sharded", &request).unwrap();
-    assert_eq!(served.results.len(), reference.results.len());
-    for ((a, b), c) in served.results.iter().zip(&reference.results).zip(&shard_parallel.results) {
-        assert_eq!(a.neighbors, b.neighbors);
-        assert_eq!(a.neighbors, c.neighbors);
+        let served = engine.serve("sharded", &request).unwrap();
+        let shard_parallel = engine.serve_sharded("sharded", &request).unwrap();
+        assert_eq!(served.results.len(), reference.results.len());
+        for ((a, b), c) in
+            served.results.iter().zip(&reference.results).zip(&shard_parallel.results)
+        {
+            assert_eq!(a.neighbors, b.neighbors, "shards={shards}");
+            assert_eq!(a.neighbors, c.neighbors, "shards={shards}");
+        }
+        // Per-shard telemetry is present for every shard.
+        assert_eq!(shard_parallel.per_shard_latency.len(), shards);
+        assert!(shard_parallel.per_shard_stats.iter().all(|s| s.candidates_verified > 0));
+
+        // The plain index is not reachable through the sharded serving path.
+        assert!(engine.serve_sharded("scan", &request).is_err());
     }
-    // Per-shard telemetry is present for every shard.
-    assert_eq!(shard_parallel.per_shard_latency.len(), 4);
-    assert!(shard_parallel.per_shard_stats.iter().all(|s| s.candidates_verified > 0));
-
-    // The plain index is not reachable through the sharded serving path.
-    assert!(engine.serve_sharded("scan", &request).is_err());
 }
 
 #[test]

@@ -4,13 +4,19 @@
 //! the answers stay bit-identical to an untraced direct executor run (tracing only
 //! adds clock reads on sampled queries; it never changes the search).
 //!
+//! The same run then snapshots the Ball-Tree and a BC-Tree and cold-starts them under
+//! both loaders (copy and mmap): every loaded index answers bit-identically to the
+//! tree it was saved from, searched directly and served through the traced path.
+//!
 //! This file is its own test binary with a single `#[test]`: the trace sink is
 //! resolved once per process from the environment (`OnceLock`), so the variable must
 //! be set before the first serve and no other test may run in this process.
 
-use p2h_core::SearchParams;
+use p2h_core::{P2hIndex, SearchParams, SearchResult};
 use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
-use p2h_engine::{BallTreeBuilder, BatchExecutor, BatchRequest, Engine};
+use p2h_engine::{
+    BallTreeBuilder, BatchExecutor, BatchRequest, BcTreeBuilder, Engine, LoadMode, Store,
+};
 
 #[path = "../../store/tests/common/mod.rs"]
 mod common;
@@ -40,19 +46,20 @@ fn sampled_queries_are_traced_without_perturbing_answers() {
 
     let reference = BatchExecutor::new(1).execute(&tree, &request);
 
+    // Snapshot the Ball-Tree and a BC-Tree before the engine takes the first.
+    let bc = BcTreeBuilder::new(32).build(&points).unwrap();
+    let store_dir = dir.join("store");
+    let store = Store::create(&store_dir).unwrap();
+    store.save("ball", &tree).unwrap();
+    store.save("bc", &bc).unwrap();
+    let built = [("ball", direct(&tree, &request)), ("bc", direct(&bc, &request))];
+
     let engine = Engine::new(1);
     engine.registry().register("traced", tree);
     let response = engine.serve("traced", &request).unwrap();
 
     // Bit identity under tracing: same neighbors, same distance bits.
-    assert_eq!(response.results.len(), reference.results.len());
-    for (served, reference) in response.results.iter().zip(reference.results.iter()) {
-        assert_eq!(served.neighbors.len(), reference.neighbors.len());
-        for (a, b) in served.neighbors.iter().zip(reference.neighbors.iter()) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.distance.to_bits(), b.distance.to_bits());
-        }
-    }
+    assert_bits(&response.results, &reference.results, "traced serve");
 
     // Every third query of the batch was sampled: queries 0, 3, 6, … → ceil(n/3)
     // records, one JSON object per line, in submission order.
@@ -88,5 +95,39 @@ fn sampled_queries_are_traced_without_perturbing_answers() {
     assert!(!first.contains("\"latency_ns\":0,"), "sampled query should have latency");
     assert!(!first.contains("\"nodes_visited\":0,"), "tree search visits nodes");
 
+    // Snapshot round trip under both loaders, served through the traced path: the
+    // loaded indexes answer bit-identically to the built ones, searched directly and
+    // served, and the sink keeps sampling every third query across batches.
+    for mode in [LoadMode::Copy, LoadMode::Mmap] {
+        let loaded = Engine::from_store_with(&store_dir, 1, mode).unwrap();
+        for (name, expected) in &built {
+            let context = format!("{name} loaded by {mode:?}");
+            let index = loaded.registry().get(name).unwrap();
+            assert_bits(&direct(index.as_ref(), &request), expected, &context);
+            let served = loaded.serve(name, &request).unwrap();
+            assert_bits(&served.results, expected, &format!("{context}, traced serve"));
+        }
+    }
+    let contents = std::fs::read_to_string(&trace_path).expect("trace file written");
+    assert_eq!(contents.lines().count(), (5 * n).div_ceil(3), "sampling spans batches");
+
     std::env::remove_var("P2H_TRACE");
+}
+
+/// Every query of `request` searched directly on `index`, one at a time.
+fn direct(index: &dyn P2hIndex, request: &BatchRequest) -> Vec<SearchResult> {
+    let queries = request.queries.iter().enumerate();
+    queries.map(|(i, q)| index.search(q, request.params_for(i))).collect()
+}
+
+/// Same neighbors, same distance bits.
+fn assert_bits(got: &[SearchResult], want: &[SearchResult], context: &str) {
+    assert_eq!(got.len(), want.len(), "{context}");
+    for (qi, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.neighbors.len(), w.neighbors.len(), "{context}: q{qi}");
+        for (a, b) in g.neighbors.iter().zip(&w.neighbors) {
+            assert_eq!(a.index, b.index, "{context}: q{qi}");
+            assert_eq!(a.distance.to_bits(), b.distance.to_bits(), "{context}: q{qi}");
+        }
+    }
 }

@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use p2h_core::HyperplaneQuery;
+use p2h_core::{HyperplaneQuery, SearchParams};
 use p2h_engine::{BatchRequest, Engine};
 use p2h_net::wire::{frame_bytes, frame_from_buf};
 use p2h_net::{ensure_reuseaddr, ErrorCode, Message, NetError, PROTOCOL_VERSION};
@@ -624,10 +624,7 @@ fn serve_batch(shared: &Shared, index: &str, items: Vec<Pending>) {
         return;
     }
     let engine = shared.current_engine();
-    let mut request = BatchRequest::new(queries, accepted[0].query.params.clone());
-    for (position, pending) in accepted.iter().enumerate() {
-        request.overrides.push((position, pending.query.params.clone()));
-    }
+    let request = batch_request(queries, accepted.iter().map(|pending| &pending.query.params));
     // Queue wait ends where service begins: stamped before the engine call.
     let dispatched = Instant::now();
     match engine.serve_front(index, &request) {
@@ -667,6 +664,24 @@ fn serve_batch(shared: &Shared, index: &str, items: Vec<Pending>) {
     }
 }
 
+/// The engine request for one coalesced batch: the first query's parameters are the
+/// batch default, and only a position whose parameters differ carries an override. A
+/// uniform batch carries none, so the engine resolves every position in O(1).
+fn batch_request<'a>(
+    queries: Vec<HyperplaneQuery>,
+    params: impl IntoIterator<Item = &'a SearchParams>,
+) -> BatchRequest {
+    let mut params = params.into_iter().enumerate();
+    let (_, first) = params.next().expect("a coalesced batch is never empty");
+    let mut request = BatchRequest::new(queries, first.clone());
+    for (position, own) in params {
+        if *own != request.default_params {
+            request.overrides.push((position, own.clone()));
+        }
+    }
+    request
+}
+
 // ---------------------------------------------------------------------------
 // Reload
 // ---------------------------------------------------------------------------
@@ -698,4 +713,36 @@ fn spawn_reload(loop_id: usize, conn_id: u64, request_id: u64, shared: &Arc<Shar
             shared.loops[loop_id].deliver(conn_id, message);
         })
         .ok();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn queries(n: usize) -> Vec<HyperplaneQuery> {
+        (0..n)
+            .map(|i| HyperplaneQuery::from_normal_and_bias(&[1.0, i as f32], 0.5).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn a_uniform_batch_carries_no_overrides() {
+        let exact = SearchParams::exact(10);
+        let request = batch_request(queries(5), [&exact; 5]);
+        assert_eq!(request.default_params, exact);
+        assert!(request.overrides.is_empty());
+        assert!((0..5).all(|position| request.params_for(position) == &exact));
+    }
+
+    #[test]
+    fn a_mixed_batch_overrides_exactly_the_differing_positions() {
+        let (exact, budgeted) = (SearchParams::exact(10), SearchParams::approximate(5, 64));
+        let params = [&exact, &budgeted, &exact, &exact, &budgeted];
+        let request = batch_request(queries(5), params);
+        assert_eq!(request.default_params, exact);
+        assert_eq!(request.overrides, vec![(1, budgeted.clone()), (4, budgeted.clone())]);
+        for (position, want) in params.into_iter().enumerate() {
+            assert_eq!(request.params_for(position), want, "position {position}");
+        }
+    }
 }

@@ -15,6 +15,11 @@ use p2h_live::LiveIndex;
 use p2h_shard::{Partitioner, ShardIndexKind, ShardedIndexBuilder};
 use p2h_store::Store;
 
+#[path = "../../../store/tests/common/mod.rs"]
+mod test_dir;
+
+pub use test_dir::TestDir;
+
 pub const RAW_DIM: usize = 8;
 
 pub fn splitmix64(x: &mut u64) -> u64 {
@@ -58,13 +63,7 @@ pub fn synthetic_queries(m: usize, seed: u64) -> Vec<(HyperplaneQuery, SearchPar
 pub struct Fixture {
     pub engine: Arc<Engine>,
     pub queries: Vec<(HyperplaneQuery, SearchParams)>,
-    store_dir: std::path::PathBuf,
-}
-
-impl Drop for Fixture {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.store_dir).ok();
-    }
+    _store_dir: TestDir,
 }
 
 /// Entry names the fixture registers, one per dispatch path.
@@ -82,14 +81,16 @@ pub fn fixture(tag: &str, seed: u64, points: usize, queries: usize) -> Fixture {
             .build(&point_set)
             .expect("sharded build"),
     );
-    let store_dir =
-        std::env::temp_dir().join(format!("p2h-front-{tag}-{}-{seed}", std::process::id()));
-    std::fs::remove_dir_all(&store_dir).ok();
+    let store_dir = TestDir::new(&format!("front-{tag}"));
     let store = Store::create(&store_dir).expect("create live store");
     let live = LiveIndex::create(&store, "live", RAW_DIM + 1).expect("create live index");
     live.insert_batch(&rows).expect("insert rows");
     engine.register_live("live", live);
-    Fixture { engine: Arc::new(engine), queries: synthetic_queries(queries, seed), store_dir }
+    Fixture {
+        engine: Arc::new(engine),
+        queries: synthetic_queries(queries, seed),
+        _store_dir: store_dir,
+    }
 }
 
 /// The oracle: the same query served **alone** through the engine's own path for

@@ -2,7 +2,7 @@
 //! the router retries / fails over to the surviving replica, with every answer
 //! staying **bit-identical** (ids + `f32` distance bits) to the local unsharded
 //! index — then a restarted server cold-starts from the same store and takes
-//! traffic again.
+//! traffic again, and carries it alone once the other replica is killed too.
 //!
 //! Real OS processes (via `CARGO_BIN_EXE_shard-server`), real SIGKILL — no
 //! in-process simulation.
@@ -18,6 +18,11 @@ use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticD
 use p2h_net::{BackoffPolicy, ReplicaSet, Router, RouterConfig};
 use p2h_shard::{Partitioner, ShardIndexKind, ShardedIndexBuilder};
 use p2h_store::Store;
+
+#[path = "../../store/tests/common/mod.rs"]
+mod common;
+
+use common::TestDir;
 
 const SHARDS: usize = 3;
 
@@ -120,8 +125,7 @@ fn kill_dash_nine_mid_batch_keeps_answers_bit_identical() {
         .collect();
 
     // Persist the sharded build; both replicas (and the restart) cold-start from it.
-    let store_dir = std::env::temp_dir().join(format!("p2h-kill-restart-{}", std::process::id()));
-    std::fs::remove_dir_all(&store_dir).ok();
+    let store_dir = TestDir::new("net-kill-restart");
     let store = Store::create(&store_dir).unwrap();
     ShardedIndexBuilder::new(Partitioner::Hash { shards: SHARDS }, ShardIndexKind::LinearScan)
         .with_seed(77)
@@ -131,7 +135,7 @@ fn kill_dash_nine_mid_batch_keeps_answers_bit_identical() {
         .unwrap();
 
     let mut replica_a = ServerProc::spawn(&store_dir);
-    let replica_b = ServerProc::spawn(&store_dir);
+    let mut replica_b = ServerProc::spawn(&store_dir);
 
     let router_over = |first: &str, second: &str| {
         let replicas: Vec<ReplicaSet> =
@@ -188,9 +192,20 @@ fn kill_dash_nine_mid_batch_keeps_answers_bit_identical() {
         assert_bit_identical(&routed.results, &oracle, &format!("restarted {round}"));
     }
 
+    // Now SIGKILL B and route through a router that lists the dead replica FIRST:
+    // every shard's first attempt is refused and must fail over to the restarted A,
+    // without a bit of drift.
+    replica_b.kill9();
+    let dead_first = router_over(&replica_b.addr, &replica_a2.addr);
+    for round in 0..5 {
+        let routed = dead_first.route(&queries, &params).unwrap();
+        assert!(routed.missing_shards.is_empty(), "failover must be complete, not partial");
+        assert_bit_identical(&routed.results, &oracle, &format!("B dead, listed first {round}"));
+    }
+
+    drop(dead_first);
     drop(router);
     drop(replica_a2);
     drop(replica_b);
     drop(replica_a);
-    std::fs::remove_dir_all(&store_dir).ok();
 }

@@ -12,8 +12,8 @@
 //! (traversal), verify (leaf verification), lookup (hash probing), merge (sharded
 //! fan-out merge), and the unattributed remainder. Stage timings require the serving
 //! layer to enable `collect_timing` for sampled queries; that only adds clock reads,
-//! so traced answers stay bit-identical (enforced in CI by running
-//! `snapshot_bench --check` under `P2H_TRACE`).
+//! so traced answers stay bit-identical (enforced by the engine's `trace_sampling`
+//! test, which serves built and snapshot-loaded trees under `P2H_TRACE`).
 
 use std::fs::File;
 use std::io::{BufWriter, Write};

@@ -54,7 +54,7 @@ fn main() {
     // Two replica servers cold-start from the store and bind ephemeral ports. In a
     // real deployment these are separate `shard-server` processes on separate hosts;
     // in-process handles keep the example self-contained (the kill -9 variant lives
-    // in `crates/net/tests/kill_restart.rs` and `net_bench --check`).
+    // in `crates/net/tests/kill_restart.rs`).
     let replica_a =
         ShardServer::load(&store, "p2h").expect("load").serve("127.0.0.1:0").expect("serve");
     let replica_b =

@@ -312,11 +312,10 @@
 //!
 //! See the `examples/` directory for end-to-end scenarios (SVM active learning,
 //! maximum-margin style selection, index comparison, batch serving, snapshot-backed
-//! cold-start serving, sharded serving, distributed fault-tolerant serving) and the
-//! `p2h-bench` crate for the
-//! reproduction of the paper's evaluation plus the engine throughput-scaling
-//! experiment (`engine_throughput`), the snapshot load-vs-rebuild experiment
-//! (`snapshot_bench`), and the shard-count sweep (`shard_bench`). Built indexes
+//! cold-start serving, sharded serving, distributed fault-tolerant serving), the
+//! `p2h-bench` crate for the reproduction of the paper's evaluation, and the
+//! `p2h-benchmark` package under `benchmark/`, which measures the serving stack end to
+//! end (engine, snapshots, shards, network, front-end, live tier). Built indexes
 //! persist via [`Store`]/[`Snapshot`] (`p2h-store`): save once offline, then
 //! [`engine::Engine::from_store`] cold-starts a serving process with bit-identical
 //! answers and no rebuild.
