@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use p2h_core::{
     distance, HyperplaneQuery, P2hIndex, PointSet, Result, Scalar, SearchParams, SearchResult,
-    SearchStats, TopKCollector, VecBuf,
+    SearchStats, TopKCollector,
 };
 
 use crate::projections::ProjectionTables;
@@ -49,9 +49,8 @@ impl FhParams {
 /// One norm-based partition of the transformed data.
 #[derive(Debug, Clone)]
 struct Partition {
-    /// Global point ids belonging to this partition (owned or mapped; snapshot loaders
-    /// restore these zero-copy from the mapped region).
-    ids: VecBuf<u32>,
+    /// Global point ids belonging to this partition.
+    ids: Vec<u32>,
     /// Sorted projection tables over the partition's transformed vectors
     /// (local id = index into `ids`).
     tables: ProjectionTables,
@@ -111,87 +110,10 @@ impl FhIndex {
                 params.seed.wrapping_add(partitions.len() as u64 + 1),
                 |local| transform.transform_data(points.point(ids[local] as usize)),
             );
-            partitions.push(Partition { ids: ids.into(), tables });
+            partitions.push(Partition { ids, tables });
         }
 
         Ok(Self { points: points.clone(), transform, partitions, params })
-    }
-
-    /// Reassembles an FH index from its constituent parts — the inverse of reading
-    /// [`FhIndex::transform`], [`FhIndex::partition_ids`], and
-    /// [`FhIndex::partition_tables`] off a built index (the snapshot load path; the
-    /// arrays are restored verbatim, so the reassembled index answers identically).
-    ///
-    /// The `partitions` argument pairs each partition's global point ids with the
-    /// projection tables built over its transformed vectors (local id = position in the
-    /// id list).
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed error (never panics) if the parts are inconsistent: degenerate
-    /// parameters, a transform/point dimension mismatch, partition tables whose
-    /// dimensionality is not `λ` or whose length differs from the id list, or partition
-    /// id lists that are not a disjoint cover of `0..n`.
-    pub fn from_parts(
-        points: PointSet,
-        transform: QuadraticTransform,
-        partitions: Vec<(VecBuf<u32>, ProjectionTables)>,
-        params: FhParams,
-    ) -> Result<Self> {
-        use p2h_core::Error;
-        if params.lambda_factor == 0 || params.tables == 0 || params.partitions == 0 {
-            return Err(Error::Corrupt("FH params must be positive".into()));
-        }
-        if transform.input_dim() != points.dim() {
-            return Err(Error::Corrupt(format!(
-                "FH transform input dim {} differs from point dim {}",
-                transform.input_dim(),
-                points.dim()
-            )));
-        }
-        if partitions.is_empty() {
-            return Err(Error::Corrupt("FH needs at least one partition".into()));
-        }
-        let n = points.len();
-        let mut seen = vec![false; n];
-        for (ids, tables) in &partitions {
-            if tables.dim() != transform.output_dim() {
-                return Err(Error::Corrupt(format!(
-                    "FH partition table dim {} is not λ = {}",
-                    tables.dim(),
-                    transform.output_dim()
-                )));
-            }
-            if tables.len() != ids.len() || ids.is_empty() {
-                return Err(Error::Corrupt(format!(
-                    "FH partition holds {} ids but indexes {} vectors",
-                    ids.len(),
-                    tables.len()
-                )));
-            }
-            if params.tables != tables.table_count() {
-                return Err(Error::Corrupt(format!(
-                    "FH params declare {} tables, {} present",
-                    params.tables,
-                    tables.table_count()
-                )));
-            }
-            for &id in ids.iter() {
-                let id = id as usize;
-                if id >= n || seen[id] {
-                    return Err(Error::Corrupt(
-                        "FH partition ids are not a disjoint cover of the points".into(),
-                    ));
-                }
-                seen[id] = true;
-            }
-        }
-        if seen.iter().any(|&s| !s) {
-            return Err(Error::Corrupt("FH partitions do not cover every point".into()));
-        }
-        let partitions =
-            partitions.into_iter().map(|(ids, tables)| Partition { ids, tables }).collect();
-        Ok(Self { points, transform, partitions, params })
     }
 
     /// The parameters the index was built with.
@@ -204,33 +126,9 @@ impl FhIndex {
         &self.points
     }
 
-    /// The sampled quadratic transform. Exposed (with the partition accessors) so
-    /// persistence layers can serialize the index without rebuilding it.
-    pub fn transform(&self) -> &QuadraticTransform {
-        &self.transform
-    }
-
     /// Number of norm-based partitions actually created.
     pub fn partition_count(&self) -> usize {
         self.partitions.len()
-    }
-
-    /// The global point ids of partition `p` (local table id = position in this list).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p >= self.partition_count()`.
-    pub fn partition_ids(&self, p: usize) -> &[u32] {
-        &self.partitions[p].ids
-    }
-
-    /// The projection tables of partition `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p >= self.partition_count()`.
-    pub fn partition_tables(&self, p: usize) -> &ProjectionTables {
-        &self.partitions[p].tables
     }
 }
 
@@ -248,7 +146,10 @@ impl P2hIndex for FhIndex {
     }
 
     fn index_size_bytes(&self) -> usize {
-        self.partitions.iter().map(|p| p.tables.size_bytes() + p.ids.heap_bytes()).sum::<usize>()
+        self.partitions
+            .iter()
+            .map(|p| p.tables.size_bytes() + std::mem::size_of_val(p.ids.as_slice()))
+            .sum::<usize>()
             + std::mem::size_of::<Self>()
     }
 
@@ -279,8 +180,7 @@ impl P2hIndex for FhIndex {
         // it has appeared near the projection extremes in `collision_threshold` tables.
         let threshold = self.params.collision_threshold.clamp(1, self.params.tables) as u16;
         let mut collisions = vec![0u16; self.points.len()];
-        // Resolve the buffer-backed point payload once (see NH: mapped `VecBuf`
-        // derefs must stay out of the per-candidate loop).
+        // Resolve the point payload once, outside the per-candidate loop.
         let flat = self.points.as_flat();
         let dim = self.points.dim();
         let mut active = true;

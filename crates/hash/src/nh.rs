@@ -110,66 +110,6 @@ impl NhIndex {
         Ok(Self { points: points.clone(), transform, tables, params, alignment_m })
     }
 
-    /// Reassembles an NH index from its constituent parts — the inverse of reading
-    /// [`NhIndex::transform`], [`NhIndex::tables`], [`NhIndex::params`], and
-    /// [`NhIndex::alignment_constant`] off a built index. This is the load path for
-    /// persistent snapshots: because the projection tables and the sampled transform
-    /// are restored verbatim, the reassembled index streams candidates and answers
-    /// queries identically to the one that was saved.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed error (never panics) if the parts are inconsistent: degenerate
-    /// parameters, a transform whose input dimension differs from the point set, a
-    /// table dimensionality that is not `λ + 1` (the norm-alignment coordinate), or
-    /// tables indexing a different number of points.
-    pub fn from_parts(
-        points: PointSet,
-        transform: QuadraticTransform,
-        tables: ProjectionTables,
-        params: NhParams,
-        alignment_m: Scalar,
-    ) -> Result<Self> {
-        use p2h_core::Error;
-        if params.lambda_factor == 0 || params.tables == 0 {
-            return Err(Error::Corrupt("NH params must have positive λ factor and tables".into()));
-        }
-        if transform.input_dim() != points.dim() {
-            return Err(Error::Corrupt(format!(
-                "NH transform input dim {} differs from point dim {}",
-                transform.input_dim(),
-                points.dim()
-            )));
-        }
-        if tables.dim() != transform.output_dim() + 1 {
-            return Err(Error::Corrupt(format!(
-                "NH table dim {} is not λ + 1 = {}",
-                tables.dim(),
-                transform.output_dim() + 1
-            )));
-        }
-        if tables.len() != points.len() {
-            return Err(Error::Corrupt(format!(
-                "NH tables index {} points, point set holds {}",
-                tables.len(),
-                points.len()
-            )));
-        }
-        if params.tables != tables.table_count() {
-            return Err(Error::Corrupt(format!(
-                "NH params declare {} tables, {} present",
-                params.tables,
-                tables.table_count()
-            )));
-        }
-        if !alignment_m.is_finite() || alignment_m < 0.0 {
-            return Err(Error::Corrupt(format!(
-                "NH alignment constant {alignment_m} is not a finite non-negative value"
-            )));
-        }
-        Ok(Self { points, transform, tables, params, alignment_m })
-    }
-
     /// The parameters the index was built with.
     pub fn params(&self) -> &NhParams {
         &self.params
@@ -178,17 +118,6 @@ impl NhIndex {
     /// The indexed (augmented) point set.
     pub fn points(&self) -> &PointSet {
         &self.points
-    }
-
-    /// The sampled quadratic transform. Exposed (with [`NhIndex::tables`]) so
-    /// persistence layers can serialize the index without rebuilding it.
-    pub fn transform(&self) -> &QuadraticTransform {
-        &self.transform
-    }
-
-    /// The sorted random-projection tables over the transformed points.
-    pub fn tables(&self) -> &ProjectionTables {
-        &self.tables
     }
 
     /// The norm-alignment constant `M`.
@@ -241,9 +170,7 @@ impl P2hIndex for NhIndex {
         // it has appeared close to the query projection in `collision_threshold` tables.
         let threshold = self.params.collision_threshold.clamp(1, self.params.tables) as u16;
         let mut collisions = vec![0u16; self.points.len()];
-        // Resolve the buffer-backed point payload once: a mapped `VecBuf` pays a
-        // dynamic-dispatch slice resolution per deref, which must stay out of the
-        // per-candidate loop.
+        // Resolve the point payload once, outside the per-candidate loop.
         let flat = self.points.as_flat();
         let dim = self.points.dim();
         loop {

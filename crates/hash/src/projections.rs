@@ -14,27 +14,24 @@ use std::collections::BinaryHeap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use p2h_core::{distance, Scalar, VecBuf};
+use p2h_core::{distance, Scalar};
 
 /// A set of `m` sorted random-projection tables over vectors of a fixed dimensionality.
 ///
 /// The tables are stored struct-of-arrays: one flat buffer of sorted projection values
 /// and one flat buffer of the matching point ids, each `m × n` in table-major order
-/// (table `t` owns `t·n .. (t+1)·n`). All three arrays are [`VecBuf`]s, so a snapshot
-/// loader can restore them zero-copy from a memory-mapped region; the split layout is
-/// what makes that possible (an interleaved `(f32, u32)` pair array has no stable
-/// castable layout).
+/// (table `t` owns `t·n .. (t+1)·n`).
 #[derive(Debug, Clone)]
 pub struct ProjectionTables {
     dim: usize,
     /// Number of indexed vectors per table.
     len: usize,
     /// `m · dim` direction components (each direction has unit expected norm).
-    directions: VecBuf<Scalar>,
+    directions: Vec<Scalar>,
     /// `m · len` sorted projection values, table-major.
-    values: VecBuf<Scalar>,
+    values: Vec<Scalar>,
     /// `m · len` point ids aligned with `values`.
-    ids: VecBuf<u32>,
+    ids: Vec<u32>,
 }
 
 impl ProjectionTables {
@@ -67,67 +64,7 @@ impl ProjectionTables {
             values.extend(table.iter().map(|&(v, _)| v));
             ids.extend(table.iter().map(|&(_, id)| id));
         }
-        Self { dim, len: n, directions: directions.into(), values: values.into(), ids: ids.into() }
-    }
-
-    /// Reassembles projection tables from their constituent flat arrays — the inverse
-    /// of reading [`ProjectionTables::directions`], [`ProjectionTables::values`], and
-    /// [`ProjectionTables::ids`] off a built instance. This is the load path for
-    /// persistent snapshots: the arrays are restored verbatim (owned or mapped), so
-    /// the reassembled tables stream candidates identically.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`p2h_core::Error::Corrupt`] (never panics) if the arrays are
-    /// inconsistent: a direction buffer that is not a multiple of `dim`, value/id
-    /// buffers that are not `m × n`, entries out of sort order, or ids that are not a
-    /// permutation of the indexed vectors per table (the candidate streams assume each
-    /// id appears exactly once per table).
-    pub fn from_parts(
-        dim: usize,
-        directions: impl Into<VecBuf<Scalar>>,
-        len: usize,
-        values: impl Into<VecBuf<Scalar>>,
-        ids: impl Into<VecBuf<u32>>,
-    ) -> p2h_core::Result<Self> {
-        use p2h_core::Error;
-        let directions = directions.into();
-        let values = values.into();
-        let ids = ids.into();
-        if dim == 0 || directions.is_empty() || !directions.len().is_multiple_of(dim) {
-            return Err(Error::Corrupt(format!(
-                "direction buffer has {} scalars, not a positive multiple of dim {dim}",
-                directions.len()
-            )));
-        }
-        let m = directions.len() / dim;
-        let n = len;
-        if n == 0 || values.len() != m * n || ids.len() != m * n {
-            return Err(Error::Corrupt(format!(
-                "projection buffers hold {} values / {} ids for {m} tables of {n} vectors",
-                values.len(),
-                ids.len()
-            )));
-        }
-        let mut seen = vec![false; n];
-        for t in 0..m {
-            let table_values = &values[t * n..(t + 1) * n];
-            if table_values.windows(2).any(|w| w[0].total_cmp(&w[1]) == std::cmp::Ordering::Greater)
-            {
-                return Err(Error::Corrupt("projection table is not sorted".into()));
-            }
-            seen.iter_mut().for_each(|s| *s = false);
-            for &id in &ids[t * n..(t + 1) * n] {
-                let id = id as usize;
-                if id >= n || seen[id] {
-                    return Err(Error::Corrupt(
-                        "projection table ids are not a permutation".into(),
-                    ));
-                }
-                seen[id] = true;
-            }
-        }
-        Ok(Self { dim, len: n, directions, values, ids })
+        Self { dim, len: n, directions, values, ids }
     }
 
     /// Number of projection tables `m`.
@@ -138,35 +75,6 @@ impl ProjectionTables {
     /// Dimensionality of the projected vectors.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// The flat `m × dim` direction buffer (table `t` owns rows `t·dim .. (t+1)·dim`).
-    /// Exposed (with the value/id buffers) so persistence layers can serialize the
-    /// tables without re-projecting the data.
-    pub fn directions(&self) -> &[Scalar] {
-        &self.directions
-    }
-
-    /// The flat `m × n` sorted projection values, table-major.
-    pub fn values(&self) -> &[Scalar] {
-        &self.values
-    }
-
-    /// The flat `m × n` point ids aligned with [`ProjectionTables::values`].
-    pub fn ids(&self) -> &[u32] {
-        &self.ids
-    }
-
-    /// The sorted projection values of table `t`.
-    #[inline]
-    pub fn table_values(&self, t: usize) -> &[Scalar] {
-        &self.values[t * self.len..(t + 1) * self.len]
-    }
-
-    /// The point ids of table `t`, aligned with [`ProjectionTables::table_values`].
-    #[inline]
-    pub fn table_ids(&self, t: usize) -> &[u32] {
-        &self.ids[t * self.len..(t + 1) * self.len]
     }
 
     /// Number of indexed vectors.
@@ -187,12 +95,11 @@ impl ProjectionTables {
             .collect()
     }
 
-    /// Heap memory owned by the tables and directions in bytes (mapped buffers count
-    /// 0 — their bytes belong to the shared snapshot region).
+    /// Heap memory owned by the tables and directions in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.directions.heap_bytes()
-            + self.values.heap_bytes()
-            + self.ids.heap_bytes()
+        std::mem::size_of_val(self.directions.as_slice())
+            + std::mem::size_of_val(self.values.as_slice())
+            + std::mem::size_of_val(self.ids.as_slice())
             + std::mem::size_of::<Self>()
     }
 
@@ -248,9 +155,7 @@ impl Ord for HeapEntry {
 /// and [`ProjectionTables::furthest_candidates`]).
 #[derive(Debug)]
 pub struct CandidateStream<'a> {
-    /// Flat sorted projection values, resolved once from the (possibly mapped)
-    /// buffer — per-probe derefs of a mapped `VecBuf` would pay a dynamic dispatch
-    /// in the hottest hashing loop.
+    /// Flat sorted projection values, table-major.
     values: &'a [Scalar],
     /// Flat point ids aligned with `values`.
     ids: &'a [u32],
@@ -269,8 +174,8 @@ impl<'a> CandidateStream<'a> {
     fn new(tables: &'a ProjectionTables, query_projections: &[Scalar], order: ProbeOrder) -> Self {
         assert_eq!(query_projections.len(), tables.table_count());
         let mut stream = Self {
-            values: tables.values(),
-            ids: tables.ids(),
+            values: &tables.values,
+            ids: &tables.ids,
             n: tables.len(),
             query_projections: query_projections.to_vec(),
             order,

@@ -62,45 +62,6 @@ impl QuadraticTransform {
         Self { input_dim, pairs, scale }
     }
 
-    /// Reassembles a transform from its constituent parts — the inverse of reading
-    /// [`QuadraticTransform::pairs`] and [`QuadraticTransform::scale`] off a built
-    /// instance (the snapshot load path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`p2h_core::Error::Corrupt`] if the parts are inconsistent: no pairs, a
-    /// pair index outside `0..input_dim`, or a non-finite or non-positive scale.
-    pub fn from_parts(
-        input_dim: usize,
-        pairs: Vec<(u32, u32)>,
-        scale: Scalar,
-    ) -> p2h_core::Result<Self> {
-        use p2h_core::Error;
-        if input_dim == 0 || pairs.is_empty() {
-            return Err(Error::Corrupt("transform needs input_dim ≥ 1 and λ ≥ 1".into()));
-        }
-        if pairs.iter().any(|&(i, j)| i as usize >= input_dim || j as usize >= input_dim) {
-            return Err(Error::Corrupt(format!(
-                "transform pair index outside input dimension {input_dim}"
-            )));
-        }
-        if !scale.is_finite() || scale <= 0.0 {
-            return Err(Error::Corrupt(format!("transform scale {scale} is not positive")));
-        }
-        Ok(Self { input_dim, pairs, scale })
-    }
-
-    /// The sampled coordinate pairs. Exposed (with [`QuadraticTransform::scale`]) so
-    /// persistence layers can serialize the transform without re-sampling it.
-    pub fn pairs(&self) -> &[(u32, u32)] {
-        &self.pairs
-    }
-
-    /// The rescaling factor applied to every sampled product.
-    pub fn scale(&self) -> Scalar {
-        self.scale
-    }
-
     /// Dimensionality of the transformed vectors (λ, or `d²` for the full transform).
     pub fn output_dim(&self) -> usize {
         self.pairs.len()

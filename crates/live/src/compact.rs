@@ -265,8 +265,6 @@ pub(crate) fn base_rows(base: &LoadedIndex) -> BaseRows<'_> {
         LoadedIndex::LinearScan(index) => (index.points(), None),
         LoadedIndex::BallTree(index) => (index.points(), Some(index.original_ids())),
         LoadedIndex::BcTree(index) => (index.points(), Some(index.original_ids())),
-        LoadedIndex::Nh(index) => (index.points(), None),
-        LoadedIndex::Fh(index) => (index.points(), None),
     };
     let perm = match original_ids {
         None => Vec::new(),

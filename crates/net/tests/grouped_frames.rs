@@ -15,6 +15,11 @@ use p2h_net::{BackoffPolicy, ReplicaSet, Router, RouterConfig, ShardServer};
 use p2h_shard::{Partitioner, ShardIndexKind, ShardedIndexBuilder};
 use p2h_store::{LoadMode, Store};
 
+#[path = "../../store/tests/common/mod.rs"]
+mod common;
+
+use common::TestDir;
+
 const SHARDS: usize = 2;
 
 fn bits(neighbors: &[Neighbor]) -> Vec<(usize, u32)> {
@@ -40,13 +45,8 @@ fn frames(queries: usize) -> Vec<Vec<SearchParams>> {
 
 fn check(points: &PointSet, queries: &[HyperplaneQuery], kind: ShardIndexKind, mode: LoadMode) {
     let context = format!("{kind:?} / {mode:?}");
-    let dir = std::env::temp_dir().join(format!(
-        "p2h-grouped-frames-{}-{}",
-        std::process::id(),
-        context.replace(|c: char| !c.is_ascii_alphanumeric(), "")
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    let store = Store::create(&dir).unwrap().with_mode(mode);
+    let dir = TestDir::new("net-grouped-frames");
+    let store = Store::create(&*dir).unwrap().with_mode(mode);
     ShardedIndexBuilder::new(Partitioner::Hash { shards: SHARDS }, kind)
         .with_seed(5)
         .build(points)
@@ -95,7 +95,6 @@ fn check(points: &PointSet, queries: &[HyperplaneQuery], kind: ShardIndexKind, m
         }
     }
     handle.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

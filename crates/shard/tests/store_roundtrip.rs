@@ -76,8 +76,6 @@ fn mixed_stores_load_through_entries() {
     assert!(matches!(&entries[0], (name, StoreEntry::Single(_)) if name == "scan"));
     assert!(matches!(&entries[1], (name, StoreEntry::ShardGroup(_)) if name == "sharded"));
 
-    // The single-index loader refuses mixed stores with a typed error.
-    assert!(matches!(store.load_all(), Err(StoreError::EntryKind { is_group: true, .. })));
     // Kind confusion between entry types is typed, not a decode crash.
     assert!(matches!(
         store.load_shard_group("scan"),

@@ -67,10 +67,6 @@ pub enum IndexKind {
     BallTree,
     /// [`p2h_balltree::BcTree`].
     BcTree,
-    /// [`p2h_hash::NhIndex`] — transform + norm-aligned projection tables.
-    Nh,
-    /// [`p2h_hash::FhIndex`] — transform + norm-partitioned projection tables.
-    Fh,
     /// A shard-group map file: the id mappings and metadata tying the per-shard
     /// snapshots of one sharded index together. Not a standalone index — it is loaded
     /// through the shard-group path, never through `load`/`load_any`.
@@ -88,21 +84,18 @@ impl IndexKind {
             IndexKind::LinearScan => 0,
             IndexKind::BallTree => 1,
             IndexKind::BcTree => 2,
-            IndexKind::Nh => 3,
-            IndexKind::Fh => 4,
             IndexKind::ShardMap => 5,
             IndexKind::LiveIds => 6,
         }
     }
 
-    /// Decodes a tag byte.
+    /// Decodes a tag byte. Tags 3 and 4 held the NH and FH hashing baselines, which
+    /// are no longer persisted: they decode to `None`, and no new kind may take them.
     pub fn from_tag(tag: u8) -> Option<Self> {
         match tag {
             0 => Some(IndexKind::LinearScan),
             1 => Some(IndexKind::BallTree),
             2 => Some(IndexKind::BcTree),
-            3 => Some(IndexKind::Nh),
-            4 => Some(IndexKind::Fh),
             5 => Some(IndexKind::ShardMap),
             6 => Some(IndexKind::LiveIds),
             _ => None,
@@ -115,8 +108,6 @@ impl IndexKind {
             IndexKind::LinearScan => "linear-scan",
             IndexKind::BallTree => "ball-tree",
             IndexKind::BcTree => "bc-tree",
-            IndexKind::Nh => "nh",
-            IndexKind::Fh => "fh",
             IndexKind::ShardMap => "shard-map",
             IndexKind::LiveIds => "live-ids",
         }
@@ -471,11 +462,6 @@ impl<'a> Section<'a> {
 
     /// Appends a `u64`.
     pub fn put_u64(&mut self, v: u64) {
-        self.put_bytes(&v.to_le_bytes());
-    }
-
-    /// Appends an `f32`.
-    pub fn put_f32(&mut self, v: Scalar) {
         self.put_bytes(&v.to_le_bytes());
     }
 

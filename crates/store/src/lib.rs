@@ -11,13 +11,13 @@
 //!   the tree arrays, and build metadata; every malformed input maps to a typed
 //!   [`StoreError`], never a panic (see `docs/SNAPSHOT_FORMAT.md` for the byte layout),
 //! * the [`Snapshot`] trait — implemented by [`p2h_balltree::BallTree`],
-//!   [`p2h_balltree::BcTree`], [`p2h_core::LinearScan`], and the hashing baselines
-//!   [`p2h_hash::NhIndex`] / [`p2h_hash::FhIndex`] (their sampled transforms and
-//!   projection matrices get their own sections); arrays are stored verbatim, so a
-//!   loaded index returns **bit-identical** search results to the original on the
-//!   same kernel backend. A save streams those arrays from the index itself (straight
-//!   from memory where they already are their encoding, else through one
-//!   [`format::WRITE_CHUNK`] buffer) and never copies its payload,
+//!   [`p2h_balltree::BcTree`] and [`p2h_core::LinearScan`], the three kinds the
+//!   serving tiers load (the NH/FH hashing baselines are offline comparisons and are
+//!   not persisted; their old kind tags are refused on load); arrays are stored
+//!   verbatim, so a loaded index returns **bit-identical** search results to the
+//!   original on the same kernel backend. A save streams those arrays from the index
+//!   itself (straight from memory where they already are their encoding, else through
+//!   one [`format::WRITE_CHUNK`] buffer) and never copies its payload,
 //! * a directory-level [`Store`] — named snapshots plus a `MANIFEST` file, which is
 //!   what `p2h_engine::IndexRegistry::open_dir` / `Engine::from_store` consume to
 //!   cold-start a serving process. Besides single snapshots the manifest can register

@@ -14,7 +14,6 @@ use std::path::Path;
 
 use p2h_balltree::{BallTree, BcTree, BcTreeParts, LeafPointAux, Node};
 use p2h_core::{kernels, LinearScan, P2hIndex, PointSet, Scalar, VecBuf};
-use p2h_hash::{FhIndex, FhParams, NhIndex, NhParams, ProjectionTables, QuadraticTransform};
 
 use crate::format::{
     io_error, IndexKind, LeRecord, Payload, Section, SnapshotReader, SnapshotSource,
@@ -39,16 +38,6 @@ pub(crate) mod tags {
     pub const NORM: [u8; 4] = *b"NORM";
     /// Per-point ball/cone leaf structures (`count × 3` f32).
     pub const AUXD: [u8; 4] = *b"AUXD";
-    /// NH build parameters + norm-alignment constant.
-    pub const NHPR: [u8; 4] = *b"NHPR";
-    /// FH build parameters.
-    pub const FHPR: [u8; 4] = *b"FHPR";
-    /// Sampled quadratic transform (coordinate pairs + scale).
-    pub const TPRS: [u8; 4] = *b"TPRS";
-    /// Sorted random-projection tables (directions + per-table sorted arrays).
-    pub const PROJ: [u8; 4] = *b"PROJ";
-    /// One FH norm-based partition (global ids + its projection tables).
-    pub const PRTN: [u8; 4] = *b"PRTN";
     /// Shard-group metadata (partitioner, shard count, totals).
     pub const GMET: [u8; 4] = *b"GMET";
     /// One shard's local-position → global-id mapping.
@@ -276,16 +265,6 @@ impl LeRecord for LeafPointAux {
     }
 }
 
-/// A transform's coordinate pair as `TPRS` stores it.
-impl LeRecord for (u32, u32) {
-    const WIDTH: usize = 8;
-
-    fn put_le(&self, out: &mut [u8]) {
-        out[0..4].copy_from_slice(&self.0.to_le_bytes());
-        out[4..8].copy_from_slice(&self.1.to_le_bytes());
-    }
-}
-
 /// Starts a tree snapshot with the sections both tree kinds store: `META`, `PNTS`,
 /// `IDS`, `NODE` and `CNTR`, every array borrowed from the tree.
 fn tree_writer<'a>(
@@ -465,194 +444,6 @@ impl Snapshot for BcTree {
             leaf_size: meta.leaf_size,
             build_seed: meta.build_seed,
         })?)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// NH / FH hashing baselines
-// ---------------------------------------------------------------------------
-
-/// Serializes a sampled quadratic transform into a `TPRS` payload.
-fn write_transform<'a>(payload: &mut Section<'a>, transform: &'a QuadraticTransform) {
-    payload.put_u64(transform.input_dim() as u64);
-    payload.put_f32(transform.scale());
-    payload.put_u64(transform.pairs().len() as u64);
-    payload.records(transform.pairs());
-}
-
-/// Restores a transform from a `TPRS` payload (full structural validation via
-/// [`QuadraticTransform::from_parts`]).
-fn read_transform(mut payload: Payload<'_>) -> StoreResult<QuadraticTransform> {
-    let input_dim = payload.get_u64_usize("TPRS input dim")?;
-    let scale = payload.get_f32("TPRS scale")?;
-    let pair_count = payload.get_u64_usize("TPRS pair count")?;
-    // Bound the reserve by the remaining payload before trusting the declared count.
-    let mut pairs = Vec::with_capacity(pair_count.min(payload.len() / 8));
-    for _ in 0..pair_count {
-        pairs.push((payload.get_u32("TPRS pair i")?, payload.get_u32("TPRS pair j")?));
-    }
-    payload.finish()?;
-    Ok(QuadraticTransform::from_parts(input_dim, pairs, scale)?)
-}
-
-/// Serializes projection tables into a payload: `dim`, `m`, `n`, the direction matrix,
-/// then the sorted values (`m × n` f32, table-major) and the matching ids (`m × n`
-/// u32). The struct-of-arrays layout (v2) is what lets the zero-copy loader serve the
-/// value and id arrays as typed windows; v1 interleaved the `(value, id)` pairs.
-fn write_projection_tables<'a>(payload: &mut Section<'a>, tables: &'a ProjectionTables) {
-    payload.put_u64(tables.dim() as u64);
-    payload.put_u64(tables.table_count() as u64);
-    payload.put_u64(tables.len() as u64);
-    payload.records(tables.directions());
-    payload.records(tables.values());
-    payload.records(tables.ids());
-}
-
-/// Restores projection tables from a payload (sortedness and per-table permutations are
-/// validated by [`ProjectionTables::from_parts`]). `version` selects the layout: v2 is
-/// struct-of-arrays (zero-copy capable), v1 interleaved pairs (always copied).
-fn read_projection_tables(
-    payload: &mut Payload<'_>,
-    src: SnapshotSource<'_>,
-    version: u16,
-) -> StoreResult<ProjectionTables> {
-    let dim = payload.get_u64_usize("PROJ dim")?;
-    let m = payload.get_u64_usize("PROJ table count")?;
-    let n = payload.get_u64_usize("PROJ length")?;
-    let direction_scalars =
-        dim.checked_mul(m).ok_or(StoreError::Overflow { context: "PROJ m × dim" })?;
-    let table_entries = m.checked_mul(n).ok_or(StoreError::Overflow { context: "PROJ m × n" })?;
-    if version >= 2 {
-        let directions = payload.get_f32_buf(direction_scalars, src, "PROJ directions")?;
-        let values = payload.get_f32_buf(table_entries, src, "PROJ values")?;
-        let ids = payload.get_u32_buf(table_entries, src, "PROJ ids")?;
-        return Ok(ProjectionTables::from_parts(dim, directions, n, values, ids)?);
-    }
-    let directions = payload.get_f32_vec(direction_scalars, "PROJ directions")?;
-    let mut values = Vec::with_capacity(table_entries.min(payload.len() / 8));
-    let mut ids = Vec::with_capacity(table_entries.min(payload.len() / 8));
-    for _ in 0..table_entries {
-        values.push(payload.get_f32("PROJ value")?);
-        ids.push(payload.get_u32("PROJ id")?);
-    }
-    Ok(ProjectionTables::from_parts(dim, directions, n, values, ids)?)
-}
-
-impl Snapshot for NhIndex {
-    const KIND: IndexKind = IndexKind::Nh;
-
-    fn write_snapshot(&self, out: &mut dyn Write) -> io::Result<()> {
-        let points = self.points();
-        let meta = SnapshotMeta {
-            dim: points.dim(),
-            count: points.len(),
-            node_count: 0,
-            leaf_size: 0,
-            build_seed: self.params().seed,
-            note: provenance_note(),
-        };
-        let mut writer = SnapshotWriter::new(Self::KIND);
-        meta.write(writer.section(tags::META));
-        let params = writer.section(tags::NHPR);
-        params.put_u64(self.params().lambda_factor as u64);
-        params.put_u64(self.params().tables as u64);
-        params.put_u64(self.params().collision_threshold as u64);
-        params.put_u64(self.params().seed);
-        params.put_f32(self.alignment_constant());
-        writer.section(tags::PNTS).records(points.as_flat());
-        write_transform(writer.section(tags::TPRS), self.transform());
-        write_projection_tables(writer.section(tags::PROJ), self.tables());
-        writer.write_to(out)
-    }
-
-    fn decode_snapshot_src(src: SnapshotSource<'_>) -> StoreResult<Self> {
-        let mut reader = SnapshotReader::new(src.bytes())?;
-        let src = src.for_version(reader.version);
-        expect_kind(&reader, Self::KIND)?;
-        let meta = SnapshotMeta::read(reader.section(tags::META)?)?;
-        let mut payload = reader.section(tags::NHPR)?;
-        let params = NhParams {
-            lambda_factor: payload.get_u64_usize("NHPR lambda factor")?,
-            tables: payload.get_u64_usize("NHPR tables")?,
-            collision_threshold: payload.get_u64_usize("NHPR collision threshold")?,
-            seed: payload.get_u64("NHPR seed")?,
-        };
-        let alignment_m = payload.get_f32("NHPR alignment constant")?;
-        payload.finish()?;
-        let points = read_points(&mut reader, &meta, src)?;
-        let transform = read_transform(reader.section(tags::TPRS)?)?;
-        let mut payload = reader.section(tags::PROJ)?;
-        let tables = read_projection_tables(&mut payload, src, reader.version)?;
-        payload.finish()?;
-        reader.finish()?;
-        // `from_parts` cross-validates the arrays (dims, counts, λ + 1 coordinate).
-        Ok(NhIndex::from_parts(points, transform, tables, params, alignment_m)?)
-    }
-}
-
-impl Snapshot for FhIndex {
-    const KIND: IndexKind = IndexKind::Fh;
-
-    fn write_snapshot(&self, out: &mut dyn Write) -> io::Result<()> {
-        let points = self.points();
-        let meta = SnapshotMeta {
-            dim: points.dim(),
-            count: points.len(),
-            node_count: 0,
-            leaf_size: 0,
-            build_seed: self.params().seed,
-            note: provenance_note(),
-        };
-        let mut writer = SnapshotWriter::new(Self::KIND);
-        meta.write(writer.section(tags::META));
-        let params = writer.section(tags::FHPR);
-        params.put_u64(self.params().lambda_factor as u64);
-        params.put_u64(self.params().tables as u64);
-        params.put_u64(self.params().partitions as u64);
-        params.put_u64(self.params().collision_threshold as u64);
-        params.put_u64(self.params().seed);
-        params.put_u64(self.partition_count() as u64);
-        writer.section(tags::PNTS).records(points.as_flat());
-        write_transform(writer.section(tags::TPRS), self.transform());
-        for p in 0..self.partition_count() {
-            let payload = writer.section(tags::PRTN);
-            let ids = self.partition_ids(p);
-            payload.put_u64(ids.len() as u64);
-            payload.records(ids);
-            write_projection_tables(payload, self.partition_tables(p));
-        }
-        writer.write_to(out)
-    }
-
-    fn decode_snapshot_src(src: SnapshotSource<'_>) -> StoreResult<Self> {
-        let mut reader = SnapshotReader::new(src.bytes())?;
-        let src = src.for_version(reader.version);
-        expect_kind(&reader, Self::KIND)?;
-        let meta = SnapshotMeta::read(reader.section(tags::META)?)?;
-        let mut payload = reader.section(tags::FHPR)?;
-        let params = FhParams {
-            lambda_factor: payload.get_u64_usize("FHPR lambda factor")?,
-            tables: payload.get_u64_usize("FHPR tables")?,
-            partitions: payload.get_u64_usize("FHPR partitions")?,
-            collision_threshold: payload.get_u64_usize("FHPR collision threshold")?,
-            seed: payload.get_u64("FHPR seed")?,
-        };
-        let partition_count = payload.get_u64_usize("FHPR partition count")?;
-        payload.finish()?;
-        let points = read_points(&mut reader, &meta, src)?;
-        let transform = read_transform(reader.section(tags::TPRS)?)?;
-        let mut partitions = Vec::with_capacity(partition_count.min(meta.count));
-        for _ in 0..partition_count {
-            let mut payload = reader.section(tags::PRTN)?;
-            let id_count = payload.get_u64_usize("PRTN id count")?;
-            let ids = payload.get_u32_buf(id_count, src, "PRTN ids")?;
-            let tables = read_projection_tables(&mut payload, src, reader.version)?;
-            payload.finish()?;
-            partitions.push((ids, tables));
-        }
-        reader.finish()?;
-        // `from_parts` validates the disjoint cover and every dimension relation.
-        Ok(FhIndex::from_parts(points, transform, partitions, params)?)
     }
 }
 

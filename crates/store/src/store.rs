@@ -39,7 +39,6 @@ use std::sync::Arc;
 
 use p2h_balltree::{BallTree, BcTree};
 use p2h_core::{LinearScan, P2hIndex, VecBuf};
-use p2h_hash::{FhIndex, NhIndex};
 
 use crate::format::{
     io_error, IndexKind, SnapshotReader, SnapshotSource, SnapshotWriter, StoreError, StoreResult,
@@ -301,10 +300,6 @@ pub enum LoadedIndex {
     BallTree(BallTree),
     /// A restored [`BcTree`].
     BcTree(BcTree),
-    /// A restored [`NhIndex`].
-    Nh(NhIndex),
-    /// A restored [`FhIndex`].
-    Fh(FhIndex),
 }
 
 impl LoadedIndex {
@@ -314,8 +309,6 @@ impl LoadedIndex {
             LoadedIndex::LinearScan(_) => IndexKind::LinearScan,
             LoadedIndex::BallTree(_) => IndexKind::BallTree,
             LoadedIndex::BcTree(_) => IndexKind::BcTree,
-            LoadedIndex::Nh(_) => IndexKind::Nh,
-            LoadedIndex::Fh(_) => IndexKind::Fh,
         }
     }
 
@@ -325,8 +318,6 @@ impl LoadedIndex {
             LoadedIndex::LinearScan(index) => Arc::new(index),
             LoadedIndex::BallTree(index) => Arc::new(index),
             LoadedIndex::BcTree(index) => Arc::new(index),
-            LoadedIndex::Nh(index) => Arc::new(index),
-            LoadedIndex::Fh(index) => Arc::new(index),
         }
     }
 
@@ -336,8 +327,6 @@ impl LoadedIndex {
             LoadedIndex::LinearScan(index) => index,
             LoadedIndex::BallTree(index) => index,
             LoadedIndex::BcTree(index) => index,
-            LoadedIndex::Nh(index) => index,
-            LoadedIndex::Fh(index) => index,
         }
     }
 
@@ -352,8 +341,6 @@ impl LoadedIndex {
             LoadedIndex::LinearScan(index) => index.write_snapshot(out),
             LoadedIndex::BallTree(index) => index.write_snapshot(out),
             LoadedIndex::BcTree(index) => index.write_snapshot(out),
-            LoadedIndex::Nh(index) => index.write_snapshot(out),
-            LoadedIndex::Fh(index) => index.write_snapshot(out),
         }
     }
 }
@@ -841,26 +828,6 @@ impl Store {
         crate::metrics::timed_decode(|| decode_any_src(self.snapshot_owner(name)?.as_src()))
     }
 
-    /// Loads every single-index entry in the manifest, in name order. The manifest is
-    /// read once, so the listing and the per-entry paths come from one consistent view
-    /// even if a writer replaces the manifest concurrently.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::EntryKind`] if the store contains a shard group — callers
-    /// that serve mixed stores use [`Store::load_entries`] instead.
-    pub fn load_all(&self) -> StoreResult<Vec<(String, LoadedIndex)>> {
-        self.load_entries()?
-            .into_iter()
-            .map(|(name, entry)| match entry {
-                StoreEntry::Single(index) => Ok((name, index)),
-                StoreEntry::ShardGroup(_) | StoreEntry::Live(_) => {
-                    Err(StoreError::EntryKind { name, is_group: true })
-                }
-            })
-            .collect()
-    }
-
     /// Loads every entry in the manifest — single indexes and shard groups — in name
     /// order, from one consistent manifest read. Loading is all-or-nothing: any
     /// missing, corrupt, or mutually inconsistent file fails the whole call.
@@ -1002,8 +969,6 @@ pub(crate) fn decode_any_src(src: SnapshotSource<'_>) -> StoreResult<LoadedIndex
         IndexKind::LinearScan => LoadedIndex::LinearScan(LinearScan::decode_snapshot_src(src)?),
         IndexKind::BallTree => LoadedIndex::BallTree(BallTree::decode_snapshot_src(src)?),
         IndexKind::BcTree => LoadedIndex::BcTree(BcTree::decode_snapshot_src(src)?),
-        IndexKind::Nh => LoadedIndex::Nh(NhIndex::decode_snapshot_src(src)?),
-        IndexKind::Fh => LoadedIndex::Fh(FhIndex::decode_snapshot_src(src)?),
         IndexKind::ShardMap => return Err(StoreError::NotAnIndex(IndexKind::ShardMap)),
         IndexKind::LiveIds => return Err(StoreError::NotAnIndex(IndexKind::LiveIds)),
     })

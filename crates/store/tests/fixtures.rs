@@ -13,6 +13,13 @@
 //! same typed error — under both loaders — and the Ball-Tree must still answer exactly
 //! like a linear scan.
 //!
+//! `nh_v2.p2hs` is a v2 NH snapshot (40 points, 17 augmented dimensions, kind tag 3)
+//! written by commit `149755d`, the last one that persisted the NH/FH hashing baselines.
+//! Tags 3 and 4 are retired: those bytes, and the same bytes tagged 4 (FH), must be
+//! refused with `UnknownKind` by the header reader, by `Store::load_any` and by
+//! `Engine::from_store_with` on a store whose manifest lists the file, under both
+//! loaders.
+//!
 //! One `#[test]`: `force_scalar` is process-global.
 
 mod common;
@@ -24,11 +31,14 @@ use common::TestDir;
 use p2h_balltree::{BallTree, BcTree};
 use p2h_core::{kernels, LinearScan, P2hIndex, PointSet, SearchResult};
 use p2h_data::{generate_queries, QueryDistribution};
-use p2h_store::format::{SnapshotSource, SnapshotWriter, HEADER_LEN, SECTION_HEADER_LEN};
+use p2h_engine::Engine;
+use p2h_store::format::{
+    SnapshotReader, SnapshotSource, SnapshotWriter, HEADER_LEN, SECTION_HEADER_LEN,
+};
 use p2h_store::wal::WAL_HEADER_LEN;
 use p2h_store::{
-    replay_wal, IndexKind, LoadMode, MmapRegion, Snapshot, StoreError, WalHeader, WalOp, WalWriter,
-    FORMAT_VERSION_V1, SECTION_ALIGN,
+    replay_wal, IndexKind, LoadMode, MmapRegion, Snapshot, Store, StoreError, WalHeader, WalOp,
+    WalWriter, FORMAT_VERSION_V1, SECTION_ALIGN,
 };
 
 const SNAPSHOT_V1: &[u8] = include_bytes!("fixtures/bctree_v1.p2hs");
@@ -36,6 +46,7 @@ const SNAPSHOT_V2: &[u8] = include_bytes!("fixtures/bctree_v2.p2hs");
 const SNAPSHOT_V2_LARGE: &[u8] = include_bytes!("fixtures/bctree_v2_large.p2hs");
 const BALLTREE_V2: &[u8] = include_bytes!("fixtures/balltree_v2.p2hs");
 const WAL_SEGMENT: &[u8] = include_bytes!("fixtures/segment.wal");
+const NH_V2: &[u8] = include_bytes!("fixtures/nh_v2.p2hs");
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
@@ -202,6 +213,34 @@ fn wal_replays_reencodes_and_refuses_a_flipped_bit(dir: &Path) {
     assert!(matches!(replay_wal(&damaged), Err(StoreError::WalCorrupt { .. })));
 }
 
+/// The NH fixture, and the same bytes with the kind byte set to FH's 4, are refused by
+/// every loader with the retired tag, before any section is read.
+fn retired_kinds_are_refused() {
+    for tag in [3, 4] {
+        let mut bytes = NH_V2.to_vec();
+        bytes[6] = tag;
+        assert!(matches!(SnapshotReader::new(&bytes), Err(StoreError::UnknownKind(t)) if t == tag));
+
+        // A store whose manifest lists the file: saved as a linear scan, then replaced.
+        let dir = TestDir::new("retired-kind");
+        let store = Store::create(&*dir).unwrap();
+        store.save("nh", &LinearScan::new(PointSet::from_flat(2, vec![0.0; 2]).unwrap())).unwrap();
+        std::fs::write(store.snapshot_path("nh").unwrap(), &bytes).unwrap();
+        for mode in [LoadMode::Copy, LoadMode::Mmap] {
+            let loaded = Store::open_with(&*dir, mode).unwrap().load_any("nh");
+            assert!(
+                matches!(loaded, Err(StoreError::UnknownKind(t)) if t == tag),
+                "tag {tag}, {mode:?}: {loaded:?}"
+            );
+            match Engine::from_store_with(&*dir, 1, mode) {
+                Err(StoreError::UnknownKind(t)) => assert_eq!(t, tag, "{mode:?}"),
+                Err(other) => panic!("tag {tag}, {mode:?}: expected UnknownKind, got {other:?}"),
+                Ok(_) => panic!("tag {tag}, {mode:?}: an engine started from a retired kind"),
+            }
+        }
+    }
+}
+
 #[test]
 fn bytes_written_by_the_parent_commit_hold_under_both_dispatch_settings() {
     let dir = TestDir::new("fixtures");
@@ -209,5 +248,6 @@ fn bytes_written_by_the_parent_commit_hold_under_both_dispatch_settings() {
         kernels::force_scalar(forced);
         snapshots_load_reencode_and_refuse_a_flipped_bit();
         wal_replays_reencodes_and_refuses_a_flipped_bit(&dir);
+        retired_kinds_are_refused();
     }
 }

@@ -7,8 +7,7 @@ use common::TestDir;
 use p2h_balltree::{BallTree, BallTreeBuilder, BcTree, BcTreeBuilder};
 use p2h_core::{HyperplaneQuery, LinearScan, P2hIndex, PointSet, SearchParams};
 use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
-use p2h_hash::{FhIndex, FhParams, NhIndex, NhParams};
-use p2h_store::{snapshot_meta, IndexKind, Snapshot, Store, StoreError};
+use p2h_store::{snapshot_meta, IndexKind, LoadedIndex, Snapshot, Store, StoreEntry, StoreError};
 
 fn dataset(n: usize, dim: usize, seed: u64) -> PointSet {
     SyntheticDataset::new(
@@ -84,89 +83,6 @@ fn linear_scan_round_trips_bit_identically() {
 }
 
 #[test]
-fn nh_index_round_trips_bit_identically() {
-    let ps = dataset(5_000, 12, 7);
-    let nh = NhIndex::build(&ps, NhParams::new(2, 12).with_seed(31)).unwrap();
-    let bytes = nh.encode_snapshot();
-    let loaded = NhIndex::decode_snapshot(&bytes).unwrap();
-    assert_eq!(loaded.params(), nh.params());
-    assert_eq!(loaded.alignment_constant(), nh.alignment_constant());
-    assert_eq!(loaded.lambda(), nh.lambda());
-    assert_eq!(loaded.transform().pairs(), nh.transform().pairs());
-    assert_eq!(loaded.tables().directions(), nh.tables().directions());
-    assert_eq!(loaded.tables().values(), nh.tables().values());
-    assert_eq!(loaded.tables().ids(), nh.tables().ids());
-    assert_bit_identical(&nh, &loaded, &ps);
-
-    let (kind, meta) = snapshot_meta(&bytes).unwrap();
-    assert_eq!(kind, IndexKind::Nh);
-    assert_eq!(meta.build_seed, 31);
-
-    // Truncations across the projection-matrix sections are typed errors (the tree
-    // suites already sweep every byte boundary; here a coarse sweep keeps runtime sane).
-    for len in (0..bytes.len()).step_by(4099) {
-        assert!(NhIndex::decode_snapshot(&bytes[..len]).is_err(), "truncation at {len}");
-    }
-    // A flipped bit in the last section (the projection tables) fails the checksum.
-    let mut corrupt = bytes.clone();
-    let last = corrupt.len() - 1;
-    corrupt[last] ^= 0x10;
-    assert!(matches!(NhIndex::decode_snapshot(&corrupt), Err(StoreError::ChecksumMismatch { .. })));
-}
-
-#[test]
-fn fh_index_round_trips_bit_identically() {
-    let ps = dataset(5_000, 12, 8);
-    let fh = FhIndex::build(&ps, FhParams::new(2, 8, 3).with_seed(13)).unwrap();
-    let bytes = fh.encode_snapshot();
-    let loaded = FhIndex::decode_snapshot(&bytes).unwrap();
-    assert_eq!(loaded.params(), fh.params());
-    assert_eq!(loaded.partition_count(), fh.partition_count());
-    for p in 0..fh.partition_count() {
-        assert_eq!(loaded.partition_ids(p), fh.partition_ids(p));
-        assert_eq!(loaded.partition_tables(p).values(), fh.partition_tables(p).values());
-        assert_eq!(loaded.partition_tables(p).ids(), fh.partition_tables(p).ids());
-    }
-    assert_bit_identical(&fh, &loaded, &ps);
-
-    let (kind, meta) = snapshot_meta(&bytes).unwrap();
-    assert_eq!(kind, IndexKind::Fh);
-    assert_eq!(meta.count, 5_000);
-
-    for len in (0..bytes.len()).step_by(4231) {
-        assert!(FhIndex::decode_snapshot(&bytes[..len]).is_err(), "truncation at {len}");
-    }
-    let mut corrupt = bytes.clone();
-    let last = corrupt.len() - 1;
-    corrupt[last] ^= 0x02;
-    assert!(matches!(FhIndex::decode_snapshot(&corrupt), Err(StoreError::ChecksumMismatch { .. })));
-}
-
-#[test]
-fn hash_baselines_store_and_dispatch_by_kind() {
-    let dir = TestDir::new("hash-store");
-    let ps = dataset(2_000, 8, 9);
-    let nh = NhIndex::build(&ps, NhParams::new(2, 8).with_seed(1)).unwrap();
-    let fh = FhIndex::build(&ps, FhParams::new(2, 8, 2).with_seed(1)).unwrap();
-
-    let store = Store::create(&dir).unwrap();
-    store.save("nh", &nh).unwrap();
-    store.save("fh", &fh).unwrap();
-    let all = store.load_all().unwrap();
-    let kinds: Vec<IndexKind> = all.iter().map(|(_, index)| index.kind()).collect();
-    assert_eq!(kinds, vec![IndexKind::Fh, IndexKind::Nh]);
-    for (name, index) in &all {
-        let original: &dyn P2hIndex = if name == "nh" { &nh } else { &fh };
-        assert_bit_identical(original, index.as_index(), &ps);
-    }
-    // Cross-kind confusion stays typed.
-    assert!(matches!(
-        store.load::<NhIndex>("fh"),
-        Err(StoreError::KindMismatch { expected: IndexKind::Nh, found: IndexKind::Fh })
-    ));
-}
-
-#[test]
 fn snapshot_meta_peeks_without_full_load() {
     let ps = dataset(5_000, 10, 4);
     let tree = BcTreeBuilder::new(50).with_seed(77).build(&ps).unwrap();
@@ -203,7 +119,15 @@ fn store_saves_and_loads_named_indexes() {
     assert_bit_identical(&bc, &loaded, &ps);
 
     // Kind-dispatched loading.
-    let all = reopened.load_all().unwrap();
+    let all: Vec<(String, LoadedIndex)> = reopened
+        .load_entries()
+        .unwrap()
+        .into_iter()
+        .map(|(name, entry)| match entry {
+            StoreEntry::Single(index) => (name, index),
+            _ => panic!("`{name}` is a single index"),
+        })
+        .collect();
     assert_eq!(all.len(), 3);
     let kinds: Vec<IndexKind> = all.iter().map(|(_, index)| index.kind()).collect();
     assert_eq!(kinds, vec![IndexKind::BallTree, IndexKind::BcTree, IndexKind::LinearScan]);

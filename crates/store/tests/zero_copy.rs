@@ -11,9 +11,10 @@ use proptest::prelude::*;
 use p2h_balltree::{BallTree, BallTreeBuilder, BcTree, BcTreeBuilder};
 use p2h_core::{HyperplaneQuery, LinearScan, P2hIndex, PointSet, SearchParams};
 use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
-use p2h_hash::{FhIndex, FhParams, NhIndex, NhParams};
 use p2h_store::format::{SnapshotSource, SnapshotWriter, HEADER_LEN, SECTION_HEADER_LEN};
-use p2h_store::{IndexKind, LoadMode, MmapRegion, Snapshot, Store, StoreError, FORMAT_VERSION_V1};
+use p2h_store::{
+    IndexKind, LoadMode, MmapRegion, Snapshot, Store, StoreEntry, StoreError, FORMAT_VERSION_V1,
+};
 
 /// The bytes of a hand-built snapshot.
 fn to_bytes(writer: &SnapshotWriter<'_>) -> Vec<u8> {
@@ -63,8 +64,6 @@ fn mmap_loads_are_bit_identical_for_every_kind() {
     store.save("scan", &LinearScan::new(ps.clone())).unwrap();
     store.save("ball", &BallTreeBuilder::new(32).with_seed(3).build(&ps).unwrap()).unwrap();
     store.save("bc", &BcTreeBuilder::new(32).with_seed(3).build(&ps).unwrap()).unwrap();
-    store.save("nh", &NhIndex::build(&ps, NhParams::new(2, 8).with_seed(5)).unwrap()).unwrap();
-    store.save("fh", &FhIndex::build(&ps, FhParams::new(2, 8, 3).with_seed(5)).unwrap()).unwrap();
 
     let mapped = store.clone().with_mode(LoadMode::Mmap);
     assert_eq!(mapped.load_mode(), LoadMode::Mmap);
@@ -92,39 +91,21 @@ fn mmap_loads_are_bit_identical_for_every_kind() {
     assert!(bc_mmap.points().is_mapped());
     assert_eq!(bc_mmap.center_norms(), bc_copy.center_norms());
     assert_bit_identical(&bc_copy, &bc_mmap, &ps, 3);
-
-    let nh_copy: NhIndex = store.load("nh").unwrap();
-    let nh_mmap: NhIndex = mapped.load("nh").unwrap();
-    assert!(nh_mmap.points().is_mapped());
-    assert_eq!(nh_mmap.tables().values(), nh_copy.tables().values());
-    assert_eq!(nh_mmap.tables().ids(), nh_copy.tables().ids());
-    assert!(
-        nh_mmap.index_size_bytes() < nh_copy.index_size_bytes(),
-        "mapped projection tables are shared, not owned"
-    );
-    assert_bit_identical(&nh_copy, &nh_mmap, &ps, 4);
-
-    let fh_copy: FhIndex = store.load("fh").unwrap();
-    let fh_mmap: FhIndex = mapped.load("fh").unwrap();
-    assert!(fh_mmap.points().is_mapped());
-    for p in 0..fh_copy.partition_count() {
-        assert_eq!(fh_mmap.partition_ids(p), fh_copy.partition_ids(p));
-    }
-    assert_bit_identical(&fh_copy, &fh_mmap, &ps, 5);
 }
 
 #[test]
-fn load_all_and_entries_work_under_mmap() {
+fn entries_load_under_mmap() {
     let ps = dataset(800, 8, 47);
-    let dir = TestDir::new("load-all");
+    let dir = TestDir::new("entries");
     let store = Store::create(&dir).unwrap();
     store.save("a", &LinearScan::new(ps.clone())).unwrap();
     store.save("b", &BallTreeBuilder::new(16).build(&ps).unwrap()).unwrap();
 
     let mapped = Store::open_with(&dir, LoadMode::Mmap).unwrap();
-    let all = mapped.load_all().unwrap();
-    assert_eq!(all.len(), 2);
-    for (name, loaded) in &all {
+    let entries = mapped.load_entries().unwrap();
+    assert_eq!(entries.len(), 2);
+    for (name, entry) in &entries {
+        let StoreEntry::Single(loaded) = entry else { panic!("`{name}` is a single index") };
         let copied = store.clone().with_mode(LoadMode::Copy).load_any(name).unwrap();
         assert_bit_identical(loaded.as_index(), copied.as_index(), &ps, 6);
     }
@@ -192,48 +173,6 @@ fn encode_v1_linear_scan(points: &PointSet) -> Vec<u8> {
     to_bytes(&writer)
 }
 
-/// Hand-writes a v1 NH snapshot with the legacy *interleaved* `(value, id)` PROJ
-/// layout, exercising the layout branch of the v1 reader.
-fn encode_v1_nh(nh: &NhIndex) -> Vec<u8> {
-    let points = nh.points();
-    let mut writer = SnapshotWriter::with_version(IndexKind::Nh, FORMAT_VERSION_V1);
-    let meta = writer.section(*b"META");
-    meta.put_u64(points.dim() as u64);
-    meta.put_u64(points.len() as u64);
-    meta.put_u64(0);
-    meta.put_u64(0);
-    meta.put_u64(nh.params().seed);
-    meta.put_u32(0);
-    let params = writer.section(*b"NHPR");
-    params.put_u64(nh.params().lambda_factor as u64);
-    params.put_u64(nh.params().tables as u64);
-    params.put_u64(nh.params().collision_threshold as u64);
-    params.put_u64(nh.params().seed);
-    params.put_f32(nh.alignment_constant());
-    writer.section(*b"PNTS").records(points.as_flat());
-    let transform = writer.section(*b"TPRS");
-    transform.put_u64(nh.transform().input_dim() as u64);
-    transform.put_f32(nh.transform().scale());
-    transform.put_u64(nh.transform().pairs().len() as u64);
-    for &(i, j) in nh.transform().pairs() {
-        transform.put_u32(i);
-        transform.put_u32(j);
-    }
-    let tables = nh.tables();
-    let proj = writer.section(*b"PROJ");
-    proj.put_u64(tables.dim() as u64);
-    proj.put_u64(tables.table_count() as u64);
-    proj.put_u64(tables.len() as u64);
-    proj.records(tables.directions());
-    for t in 0..tables.table_count() {
-        for (value, id) in tables.table_values(t).iter().zip(tables.table_ids(t)) {
-            proj.put_f32(*value);
-            proj.put_u32(*id);
-        }
-    }
-    to_bytes(&writer)
-}
-
 #[test]
 fn v1_snapshots_still_load_via_the_copying_path() {
     let ps = dataset(900, 8, 45);
@@ -254,14 +193,6 @@ fn v1_snapshots_still_load_via_the_copying_path() {
     let demoted = LinearScan::decode_snapshot_src(SnapshotSource::Mapped(&region)).unwrap();
     assert!(!demoted.points().is_mapped());
     assert_bit_identical(&scan, &demoted, &ps, 7);
-
-    // NH exercises the interleaved v1 PROJ layout.
-    let nh = NhIndex::build(&ps, NhParams::new(2, 6).with_seed(9)).unwrap();
-    let v1 = encode_v1_nh(&nh);
-    let loaded = NhIndex::decode_snapshot(&v1).unwrap();
-    assert_eq!(loaded.tables().values(), nh.tables().values());
-    assert_eq!(loaded.tables().ids(), nh.tables().ids());
-    assert_bit_identical(&nh, &loaded, &ps, 8);
 }
 
 #[test]
@@ -317,7 +248,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// `LoadMode::Mmap` ≡ `LoadMode::Copy` bit-identically across data shapes and all
-    /// five index kinds (shard groups are covered by the equivalent proptest in
+    /// three index kinds (shard groups are covered by the equivalent proptest in
     /// `p2h-shard`).
     #[test]
     fn mmap_equals_copy_bitwise(n in 120usize..600, dim in 4usize..12, seed in 0u64..1000) {
@@ -327,10 +258,8 @@ proptest! {
         store.save("scan", &LinearScan::new(ps.clone())).unwrap();
         store.save("ball", &BallTreeBuilder::new(24).with_seed(seed).build(&ps).unwrap()).unwrap();
         store.save("bc", &BcTreeBuilder::new(24).with_seed(seed).build(&ps).unwrap()).unwrap();
-        store.save("nh", &NhIndex::build(&ps, NhParams::new(2, 4).with_seed(seed)).unwrap()).unwrap();
-        store.save("fh", &FhIndex::build(&ps, FhParams::new(2, 4, 2).with_seed(seed)).unwrap()).unwrap();
         let mapped = store.clone().with_mode(LoadMode::Mmap);
-        for name in ["scan", "ball", "bc", "nh", "fh"] {
+        for name in ["scan", "ball", "bc"] {
             let a = store.load_any(name).unwrap();
             let b = mapped.load_any(name).unwrap();
             assert_bit_identical(a.as_index(), b.as_index(), &ps, seed ^ 0xff);

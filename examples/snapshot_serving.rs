@@ -1,6 +1,7 @@
 //! Snapshot-backed serving: build indexes once, persist them to a `p2h-store`
 //! directory, then cold-start an engine from that directory — no rebuilding — and
-//! verify the loaded indexes answer queries identically to the originals.
+//! verify the loaded indexes answer queries identically to the originals, for a batch
+//! whose positions can override the batch's search parameters.
 //!
 //! The cold start is demonstrated under **both load modes**: `LoadMode::Copy` (decode
 //! every array into fresh heap) and the zero-copy `LoadMode::Mmap`, which memory-maps
@@ -60,16 +61,20 @@ fn main() {
         engine.registry().names()
     );
 
-    // 4. Serve a batch from every loaded index and cross-check against the originals.
+    // 4. A batch of 64 hyperplane queries: budgeted top-10, with two positions
+    //    overridden — one exact, one with a very tight budget.
     let queries = generate_queries(&points, 64, QueryDistribution::DataDifference, 11)
         .expect("query generation");
-    let request = BatchRequest::new(queries, SearchParams::exact(10));
+    let request = BatchRequest::new(queries, SearchParams::approximate(10, 2_000))
+        .with_override(0, SearchParams::exact(10))
+        .with_override(1, SearchParams::approximate(10, 200));
 
     let reference = Engine::new(0);
     reference.registry().register("ball", ball);
     reference.registry().register("bc", bc);
     reference.registry().register("scan", LinearScan::new(points));
 
+    // 5. Serve it from every loaded index and cross-check against the originals.
     for name in engine.registry().names() {
         let loaded = engine.serve(&name, &request).expect("serve from mmap-loaded index");
         let copied = copying.serve(&name, &request).expect("serve from copy-loaded index");
@@ -87,6 +92,23 @@ fn main() {
         );
         assert!(identical, "loaded index diverged from the original");
     }
+
+    // 6. The overrides were honored (query 1 kept to its 200-candidate budget), and
+    //    parallel serving changes no answer: each equals a direct sequential search.
+    let response = engine.serve("bc", &request).expect("serve batch");
+    let exact = response.results[0].stats.candidates_verified;
+    let tight = response.results[1].stats.candidates_verified;
+    println!(
+        "\noverrides: query 0 (exact) verified {exact} candidates, \
+         query 1 (budget 200) verified {tight}"
+    );
+    assert!(tight <= 200);
+    let bc = reference.registry().get("bc").expect("bc registered");
+    for (i, result) in response.results.iter().enumerate() {
+        let direct = bc.search(&request.queries[i], request.params_for(i));
+        assert_eq!(result.neighbors, direct.neighbors);
+    }
+    println!("parallel batch answers verified identical to sequential search");
 
     std::fs::remove_dir_all(&dir).ok();
 }
