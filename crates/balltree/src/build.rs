@@ -21,7 +21,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use p2h_core::{distance, Error, PointSet, Result, Scalar};
+use p2h_core::{distance, Error, PointSet, Result, Scalar, VecBuf};
 
 use crate::node::{Node, NO_CHILD};
 use crate::split::seed_grow_split;
@@ -185,14 +185,21 @@ fn build_skeleton(
     let mut arena = Arena::new(dim);
     build_recursive(points, &mut order, 0, leaf_size, seed, resolve_threads(threads), &mut arena);
 
-    let mut reordered = Vec::with_capacity(order.len() * dim);
-    for &idx in &order {
-        reordered.extend_from_slice(points.point(idx));
-    }
-    let original_ids: Vec<u32> = order.iter().map(|&idx| idx as u32).collect();
+    // Written in place: at scale these are the index's two largest arrays, and
+    // `from_fn` gives each its own pages, returned to the system when the tree drops.
+    let reordered = VecBuf::from_fn(order.len() * dim, |flat| {
+        for (row, &idx) in flat.chunks_exact_mut(dim).zip(&order) {
+            row.copy_from_slice(points.point(idx));
+        }
+    });
+    let original_ids = VecBuf::from_fn(order.len(), |ids| {
+        for (id, &idx) in ids.iter_mut().zip(&order) {
+            *id = idx as u32;
+        }
+    });
     Ok(Skeleton {
-        points: PointSet::from_flat(dim, reordered)?,
-        original_ids: original_ids.into(),
+        points: PointSet::from_buf(dim, reordered)?,
+        original_ids,
         nodes: arena.nodes,
         centers: arena.centers.into(),
         leaf_size,
@@ -637,6 +644,41 @@ mod tests {
         assert!(
             (bc_size as f64) < ball_size as f64 * 3.0,
             "the overhead is Θ(n), not Θ(n·d): bc={bc_size}, ball={ball_size}"
+        );
+    }
+
+    /// A tree large enough that its points and ids live in their own pages counts them
+    /// exactly as it would count `Vec`s: `len × 4` bytes each.
+    #[test]
+    fn page_backed_arrays_leave_the_index_size_unchanged() {
+        let n = p2h_core::buf::PAGES_MIN_BYTES / 4 + 1_000;
+        let ps = dataset(n, 2, 23);
+        let ball = BallTreeBuilder::new(100).build(&ps).unwrap();
+        let bc = BcTreeBuilder::new(100).build(&ps).unwrap();
+        for tree in [&ball.tree, &bc.tree] {
+            if cfg!(any(target_os = "linux", target_os = "macos")) {
+                assert!(format!("{:?}", tree.original_ids).contains("pages"));
+            }
+            assert!(!tree.points.is_mapped());
+            assert_eq!(
+                tree.points.size_bytes(),
+                n * ps.dim() * 4 + std::mem::size_of::<PointSet>()
+            );
+            assert_eq!(tree.original_ids.heap_bytes(), n * 4);
+        }
+        let structure = |tree: &Skeleton| {
+            tree.nodes.len() * std::mem::size_of::<Node>() + tree.centers.len() * 4 + n * 4
+        };
+        assert_eq!(
+            ball.index_size_bytes(),
+            structure(&ball.tree) + std::mem::size_of::<BallTree>()
+        );
+        assert_eq!(
+            bc.index_size_bytes(),
+            structure(&bc.tree)
+                + bc.center_norms.len() * 4
+                + n * std::mem::size_of::<LeafPointAux>()
+                + std::mem::size_of::<BcTree>()
         );
     }
 

@@ -91,7 +91,7 @@ pub(crate) const BLOCK_ROWS: usize = 4;
 /// `rows` must hold exactly `dim · out.len()` scalars; `out[r]` receives
 /// `⟨query, rows[r·dim .. (r+1)·dim]⟩`, bit-identical to calling [`dot`] on that row.
 ///
-/// Rows are processed [`BLOCK_ROWS`] at a time with column interleaving: each query
+/// Rows are processed `BLOCK_ROWS` at a time with column interleaving: each query
 /// chunk is read once and fed to every row's partial sums, which amortizes the query
 /// traffic and gives the optimizer `4 × BLOCK_ROWS` independent dependency chains.
 pub fn dot_block(query: &[Scalar], rows: &[Scalar], dim: usize, out: &mut [Scalar]) {

@@ -17,7 +17,9 @@
 //! * [`LinearScan`] — the exhaustive-scan baseline used for ground truth,
 //! * [`VecBuf`] — the owned-or-mapped buffer behind every large read-only array
 //!   ([`PointSet`] payloads, tree centers, permutations, projection tables), which is
-//!   what lets `p2h-store` restore indexes zero-copy from memory-mapped snapshots,
+//!   what lets `p2h-store` restore indexes zero-copy from memory-mapped snapshots, and
+//!   lets a large owned array live in its own anonymous pages ([`pages`]), returned to
+//!   the system when it is dropped,
 //! * [`QueryScratch`] — reusable per-worker working memory for allocation-free search,
 //! * low-level dense kernels in [`distance`], backed by the runtime-dispatched SIMD
 //!   implementations in [`kernels`].
@@ -56,13 +58,20 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// `unsafe` is confined to two modules: `kernels` (the SIMD intrinsics behind the
+// dispatcher) and `pages` (the workspace's one declaration of the mmap(2)/munmap(2)
+// externs, and the anonymous pages an owned `VecBuf` may live in).
+#![deny(unsafe_code)]
 
 pub mod buf;
 pub mod distance;
 mod error;
 mod index;
+#[allow(unsafe_code)]
 pub mod kernels;
 mod linear_scan;
+#[allow(unsafe_code)]
+pub mod pages;
 mod point_set;
 mod query;
 mod scratch;

@@ -247,15 +247,17 @@ impl PointSet {
 
     /// Memory footprint this point set *owns*, in bytes.
     ///
-    /// For a heap-backed set this counts the point payload plus the struct; for a
-    /// mapped set (restored zero-copy from a snapshot) the payload bytes belong to the
-    /// shared region — shared between every index viewing the file and, via the page
-    /// cache, between processes — so they are not counted here.
+    /// For an owned set (on the heap or in its own pages) this counts the point payload
+    /// plus the struct; for a mapped set (restored zero-copy from a snapshot) the
+    /// payload bytes belong to the shared region — shared between every index viewing
+    /// the file and, via the page cache, between processes — so they are not counted
+    /// here.
     pub fn size_bytes(&self) -> usize {
         self.data.heap_bytes() + std::mem::size_of::<Self>()
     }
 
-    /// Whether the point payload views a shared mapped region instead of owning heap.
+    /// Whether the point payload views a shared mapped region instead of owning its
+    /// elements.
     pub fn is_mapped(&self) -> bool {
         self.data.is_mapped()
     }

@@ -36,7 +36,7 @@ fn span_size(request: &BatchRequest, workers: usize) -> usize {
 /// Executes query batches over worker threads with deterministic result ordering.
 ///
 /// Work distribution is dynamic: an atomic cursor hands out *spans* of consecutive
-/// query indexes (see [`span_size`]) so that workers synchronize once per span rather
+/// query indexes (see `span_size`) so that workers synchronize once per span rather
 /// than once per query, which matters when a single query costs only microseconds.
 /// Within a span, runs of consecutive queries that may share a tree traversal — exact,
 /// untimed, same branch preference ([`p2h_core::SearchParams::shares_traversal_with`])

@@ -9,9 +9,9 @@
 //!   (`Arc<dyn P2hIndex>`), so many threads can serve queries against the same
 //!   immutable index without copying it;
 //! * [`BatchRequest`] / [`BatchResponse`] — a batch API with a default
-//!   [`SearchParams`] plus optional per-query overrides, returning per-query results
-//!   in request order together with aggregated [`SearchStats`] and a
-//!   [`LatencyHistogram`] (p50/p95/p99);
+//!   [`SearchParams`](p2h_core::SearchParams) plus optional per-query overrides,
+//!   returning per-query results in request order together with aggregated
+//!   [`SearchStats`](p2h_core::SearchStats) and a [`LatencyHistogram`] (p50/p95/p99);
 //! * [`BatchExecutor`] — a scoped-thread work-stealing executor whose results are
 //!   **bit-identical** to sequential execution regardless of thread count (queries are
 //!   independent and results are reassembled in request order);

@@ -29,7 +29,7 @@ use std::fs;
 use std::time::Instant;
 
 use p2h_balltree::{BallTreeBuilder, DEFAULT_LEAF_SIZE};
-use p2h_core::{PointSet, Scalar};
+use p2h_core::{PointSet, Scalar, VecBuf};
 use p2h_store::{
     live_base_file, live_ids_file, live_wal_file, LiveEntryFiles, LiveIdsSnapshot, LoadedIndex,
     WalHeader, WalWriter,
@@ -82,7 +82,7 @@ struct Frozen {
     freeze_next_id: u32,
     new_wal_name: String,
     ids: Vec<u32>,
-    flat: Vec<Scalar>,
+    flat: VecBuf<Scalar>,
     folded_rows: usize,
 }
 
@@ -153,27 +153,33 @@ impl LiveIndex {
 
         // Snapshot the survivors in ascending global-id order: base points (whose
         // ids all precede the memtable's) minus tombstones, then each frozen
-        // layer's live rows.
-        let mut ids = Vec::with_capacity(state.live_len());
-        let mut flat = Vec::with_capacity(state.live_len() * dim);
-        if let Some(base) = &state.base {
-            let rows = base_rows(base);
-            for (pos, &id) in state.base_ids.iter().enumerate() {
-                if !state.base_tombs.contains(pos) {
-                    ids.push(id);
-                    flat.extend_from_slice(rows.row(pos));
+        // layer's live rows. The rows are written in place into their own pages.
+        let survivors = state.live_len();
+        let mut ids = Vec::with_capacity(survivors);
+        let mut folded_rows = 0usize;
+        let flat = VecBuf::from_fn(survivors * dim, |flat| {
+            let mut slots = flat.chunks_exact_mut(dim);
+            let mut push = |id: u32, row: &[Scalar]| {
+                ids.push(id);
+                slots.next().expect("live_len counts every survivor").copy_from_slice(row);
+            };
+            if let Some(base) = &state.base {
+                let rows = base_rows(base);
+                for (pos, &id) in state.base_ids.iter().enumerate() {
+                    if !state.base_tombs.contains(pos) {
+                        push(id, rows.row(pos));
+                    }
                 }
             }
-        }
-        let mut folded_rows = 0usize;
-        let frozen_layers = state.layers.len() - 1;
-        for layer in &state.layers[..frozen_layers] {
-            for row in layer.live() {
-                ids.push(layer.start_id + row as u32);
-                flat.extend_from_slice(&layer.flat[row * dim..(row + 1) * dim]);
-                folded_rows += 1;
+            let frozen_layers = state.layers.len() - 1;
+            for layer in &state.layers[..frozen_layers] {
+                for row in layer.live() {
+                    push(layer.start_id + row as u32, &layer.flat[row * dim..(row + 1) * dim]);
+                    folded_rows += 1;
+                }
             }
-        }
+        });
+        assert_eq!(ids.len(), survivors, "live_len counts every survivor");
         Ok(Frozen { new_epoch, dim, freeze_next_id, new_wal_name, ids, flat, folded_rows })
     }
 
@@ -189,7 +195,7 @@ impl LiveIndex {
         let tree = if ids.is_empty() {
             None
         } else {
-            let points = PointSet::from_flat(dim, flat)?;
+            let points = PointSet::from_buf(dim, flat)?;
             Some(BallTreeBuilder::new(DEFAULT_LEAF_SIZE).with_seed(new_epoch).build(&points)?)
         };
         let new_base_name = match &tree {

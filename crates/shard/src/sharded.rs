@@ -16,10 +16,10 @@ use crate::partition::Partitioner;
 /// A query fans out over the shards — sequentially in [`P2hIndex::search_with_scratch`]
 /// (one worker, one reused scratch; the batch executor in `p2h-engine` parallelizes
 /// over queries), or shard-parallel through the engine's `ShardedExecutor` — and the
-/// per-shard top-k lists are merged with the total [`Neighbor`] order. For exact
-/// search the merged answer is **bit-identical** (neighbor ids and distance bits) to a
-/// single index of the same kind over the unpartitioned points, for every shard count
-/// and either [`Partitioner`] (see the crate docs for the argument).
+/// per-shard top-k lists are merged with the total [`Neighbor`](p2h_core::Neighbor)
+/// order. For exact search the merged answer is **bit-identical** (neighbor ids and
+/// distance bits) to a single index of the same kind over the unpartitioned points, for
+/// every shard count and either [`Partitioner`] (see the crate docs for the argument).
 ///
 /// Shards are stored as [`LoadedIndex`] — the same tagged concrete type the snapshot
 /// store restores — so a sharded index moves between memory and the store's
@@ -164,8 +164,8 @@ impl ShardedIndex {
 
     /// Searches shard `s` and maps the resulting neighbor ids to global ids, or
     /// returns `None` when the shard's budget slice is empty. The returned list stays
-    /// sorted by the total [`Neighbor`] order (the id map is strictly increasing, so
-    /// the local order *is* the global order within the shard).
+    /// sorted by the total [`Neighbor`](p2h_core::Neighbor) order (the id map is strictly
+    /// increasing, so the local order *is* the global order within the shard).
     pub fn search_shard(
         &self,
         s: usize,

@@ -854,40 +854,20 @@ impl<'a> Payload<'a> {
         Ok(Scalar::from_le_bytes(self.take(4, context)?.try_into().expect("4 bytes")))
     }
 
-    /// Reads `len` scalars. The byte size is computed with checked arithmetic and
-    /// bounds-checked against the remaining payload *before* any allocation, so a
-    /// hostile length cannot trigger an OOM or a panic.
-    pub fn get_f32_vec(&mut self, len: usize, context: &'static str) -> StoreResult<Vec<Scalar>> {
-        let bytes = len.checked_mul(4).ok_or(StoreError::Overflow { context })?;
-        let raw = self.take(bytes, context)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| Scalar::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
-
-    /// Reads `len` `u32`s, with the same pre-allocation bounds checks as
-    /// [`Payload::get_f32_vec`].
-    pub fn get_u32_vec(&mut self, len: usize, context: &'static str) -> StoreResult<Vec<u32>> {
-        let bytes = len.checked_mul(4).ok_or(StoreError::Overflow { context })?;
-        let raw = self.take(bytes, context)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
-
     /// Reads `len` raw bytes.
     pub fn get_bytes(&mut self, len: usize, context: &'static str) -> StoreResult<&'a [u8]> {
         self.take(len, context)
     }
 
-    /// Reads `len` scalars into an owned-or-mapped buffer. With a [`SnapshotSource::Bytes`]
-    /// source this copies (exactly [`Payload::get_f32_vec`]); with a mapped source it
-    /// returns a zero-copy [`VecBuf`] window into the region — after the usual bounds
-    /// checks, and rejecting any window that is not 4-byte aligned with a typed
-    /// [`StoreError::Misaligned`] (well-formed v2 files can never trigger this; it is
-    /// the guard in front of the typed cast).
+    /// Reads `len` scalars into an owned-or-mapped buffer. The byte size is computed
+    /// with checked arithmetic and bounds-checked against the remaining payload *before*
+    /// any allocation, so a hostile length cannot trigger an OOM or a panic. With a
+    /// [`SnapshotSource::Bytes`] source this copies, decoding in place through
+    /// [`VecBuf::from_fn`] (so an array of 1 MiB or more gets its own pages); with a
+    /// mapped source it returns a zero-copy [`VecBuf`] window into the region, rejecting
+    /// any window that is not 4-byte aligned with a typed [`StoreError::Misaligned`]
+    /// (well-formed v2 files can never trigger this; it is the guard in front of the
+    /// typed cast).
     pub fn get_f32_buf(
         &mut self,
         len: usize,
@@ -895,7 +875,7 @@ impl<'a> Payload<'a> {
         context: &'static str,
     ) -> StoreResult<VecBuf<Scalar>> {
         match src {
-            SnapshotSource::Bytes(_) => Ok(self.get_f32_vec(len, context)?.into()),
+            SnapshotSource::Bytes(_) => self.copy_buf(len, context, Scalar::from_le_bytes),
             SnapshotSource::Mapped(region) => self.map_buf(len, region, context),
         }
     }
@@ -908,9 +888,26 @@ impl<'a> Payload<'a> {
         context: &'static str,
     ) -> StoreResult<VecBuf<u32>> {
         match src {
-            SnapshotSource::Bytes(_) => Ok(self.get_u32_vec(len, context)?.into()),
+            SnapshotSource::Bytes(_) => self.copy_buf(len, context, u32::from_le_bytes),
             SnapshotSource::Mapped(region) => self.map_buf(len, region, context),
         }
+    }
+
+    /// Shared copying arm of the buffer readers: consumes `len` 4-byte elements from
+    /// the payload cursor and decodes them in place into an owned buffer.
+    fn copy_buf<T: p2h_core::BufElem>(
+        &mut self,
+        len: usize,
+        context: &'static str,
+        decode: fn([u8; 4]) -> T,
+    ) -> StoreResult<VecBuf<T>> {
+        let bytes = len.checked_mul(4).ok_or(StoreError::Overflow { context })?;
+        let raw = self.take(bytes, context)?;
+        Ok(VecBuf::from_fn(len, |values| {
+            for (value, c) in values.iter_mut().zip(raw.chunks_exact(4)) {
+                *value = decode(c.try_into().expect("4 bytes"));
+            }
+        }))
     }
 
     /// Shared zero-copy arm of the buffer readers: consumes `len` 4-byte elements from
@@ -968,7 +965,8 @@ mod tests {
         assert_eq!(meta.get_u32("7").unwrap(), 7);
         meta.finish().unwrap();
         let mut body = reader.section(*b"PNTS").unwrap();
-        assert_eq!(body.get_f32_vec(3, "floats").unwrap(), vec![1.5, -2.25, 0.0]);
+        let floats = body.get_f32_buf(3, SnapshotSource::Bytes(&bytes), "floats").unwrap();
+        assert_eq!(floats.to_vec(), vec![1.5, -2.25, 0.0]);
         body.finish().unwrap();
         reader.finish().unwrap();
     }
@@ -1006,7 +1004,8 @@ mod tests {
         reader.section(*b"META").unwrap();
         let mut body = reader.section(*b"PNTS").unwrap();
         assert_eq!(body.get_u64_usize("count").unwrap(), values.len());
-        assert_eq!(body.get_f32_vec(values.len(), "values").unwrap(), values);
+        let read = body.get_f32_buf(values.len(), SnapshotSource::Bytes(&bytes), "values");
+        assert_eq!(read.unwrap().to_vec(), values);
     }
 
     #[test]
@@ -1078,7 +1077,7 @@ mod tests {
         let mut payload = reader.section(*b"META").unwrap();
         assert!(matches!(payload.get_u64("too long"), Err(StoreError::Truncated { .. })));
         assert!(matches!(
-            payload.get_f32_vec(usize::MAX / 2, "overflow"),
+            payload.get_f32_buf(usize::MAX / 2, SnapshotSource::Bytes(&bytes), "overflow"),
             Err(StoreError::Overflow { .. })
         ));
         payload.get_u32("ok").unwrap();

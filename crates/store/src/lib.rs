@@ -6,7 +6,7 @@
 //!
 //! The crate provides three layers:
 //!
-//! * a **container format** ([`format`]) — a versioned binary file (magic `P2HS`,
+//! * a **container format** ([`format`](mod@format)) — a versioned binary file (magic `P2HS`,
 //!   format version, index-kind tag) holding checksummed sections for the point set,
 //!   the tree arrays, and build metadata; every malformed input maps to a typed
 //!   [`StoreError`], never a panic (see `docs/SNAPSHOT_FORMAT.md` for the byte layout),
@@ -55,9 +55,9 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-// All unsafe code of the storage layer lives in the single `mmap` module (the raw
-// mmap(2) externs and the checked [u8] → [f32]/[u32] casts); everything else is
-// enforced safe.
+// All unsafe code of the storage layer lives in the single `mmap` module (its calls to
+// the mmap(2)/munmap(2) externs, which p2h-core declares in `p2h_core::pages::sys`, and
+// the checked [u8] → [f32]/[u32] casts); everything else is enforced safe.
 #![deny(unsafe_code)]
 
 mod crc32;

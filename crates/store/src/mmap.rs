@@ -4,9 +4,9 @@
 //! the storage layer** (the crate root carries `#![deny(unsafe_code)]`; this module is
 //! exempted). Three operations need it, all confined here:
 //!
-//! 1. the raw `mmap(2)`/`munmap(2)` externs (no `libc` crate dependency — the build
-//!    container is offline, and `std` already links the C library these symbols live
-//!    in),
+//! 1. the calls to `mmap(2)`/`munmap(2)` that map and unmap a snapshot file, through
+//!    the externs declared once for the workspace in [`p2h_core::pages::sys`] (no
+//!    `libc` crate dependency: `std` already links the C library they live in),
 //! 2. the `[u8] → [f32]`/`[u8] → [u32]` reinterpretation that serves typed slices to
 //!    [`p2h_core::VecBuf`] through the safe [`BufBacking`] trait, and
 //! 3. its reverse for the writer, [`le_bytes`]: an index's `f32`/`u32` arrays viewed
@@ -41,8 +41,10 @@ use crate::format::{io_error, StoreResult};
 /// How a `Store` (or a standalone snapshot load) materializes array payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LoadMode {
-    /// Read the file and copy every array into fresh heap allocations (the default;
-    /// works for every container version).
+    /// Read the file and copy every array into a fresh owned buffer (the default;
+    /// works for every container version). An array of 1 MiB or more is page-backed:
+    /// its own anonymous mapping, unmapped when the index drops (see
+    /// [`p2h_core::buf`]); a smaller one is a heap `Vec`.
     #[default]
     Copy,
     /// Map the file with `mmap(2)` and serve the arrays as zero-copy views into the
@@ -156,26 +158,6 @@ impl AlignedBytes {
 unsafe impl Send for MmapRegion {}
 unsafe impl Sync for MmapRegion {}
 
-#[cfg(unix)]
-mod sys {
-    use std::os::raw::{c_int, c_void};
-
-    pub const PROT_READ: c_int = 1;
-    pub const MAP_PRIVATE: c_int = 2;
-
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-    }
-}
-
 impl MmapRegion {
     /// Maps `path` read-only. A zero-length file (or a host/syscall that cannot map)
     /// yields a heap-backed region with identical behavior.
@@ -188,6 +170,7 @@ impl MmapRegion {
         })?;
         #[cfg(unix)]
         if len > 0 {
+            use p2h_core::pages::sys;
             use std::os::fd::AsRawFd;
             // SAFETY: fd is a valid open file descriptor for the whole call; we map
             // the entire file read-only/private at an OS-chosen address. The fd may be
@@ -202,7 +185,7 @@ impl MmapRegion {
                     0,
                 )
             };
-            if ptr as isize != -1 && !ptr.is_null() {
+            if sys::mapped(ptr) {
                 return Ok(Arc::new(Self { base: Base::Mapped { ptr: ptr as *const u8, len } }));
             }
         }
@@ -300,7 +283,7 @@ impl Drop for MmapRegion {
             // region; nothing can reference the mapping after drop (as_bytes borrows
             // end with `self`).
             unsafe {
-                sys::munmap(ptr as *mut std::os::raw::c_void, len);
+                p2h_core::pages::sys::munmap(ptr as *mut std::os::raw::c_void, len);
             }
         }
     }

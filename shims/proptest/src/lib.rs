@@ -181,7 +181,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng as _;
 
-    /// Sizes accepted by [`vec`]: a fixed length or a half-open range of lengths.
+    /// Sizes accepted by [`vec()`]: a fixed length or a half-open range of lengths.
     pub trait SizeRange {
         /// Draws a concrete length.
         fn sample_len(&self, rng: &mut TestRng) -> usize;
@@ -204,7 +204,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// The strategy type returned by [`vec`].
+    /// The strategy type returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S, L> {
         element: S,
